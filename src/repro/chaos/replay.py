@@ -259,7 +259,8 @@ def run_chaos(schedule: FaultSchedule, config: ChaosConfig) -> ChaosReport:
     if membership is not None:
         if membership.has_active:
             engine.run_until(engine.now + config.post_heal_grace + 5.0)
-        for transition in membership.active_transitions():
+        wedged = membership.active_transitions()
+        for transition in wedged:
             extra_violations.append(
                 Violation(
                     "membership_converged",
@@ -267,6 +268,9 @@ def run_chaos(schedule: FaultSchedule, config: ChaosConfig) -> ChaosReport:
                     "the convergence tail; force-aborted",
                 )
             )
+        # Newest first: an older transition may be what a newer one was
+        # admitted on (a decommission covered by a pending join).
+        for transition in reversed(wedged):
             membership.abort(transition.node)
         membership.stop()
     cluster.settle()

@@ -45,9 +45,11 @@ cache's inverse leaf -> keys index -- O(changed keys) end to end.
 
 Safety falls back to a **full** exchange whenever the markers cannot be
 trusted: the pair's first session, a liveness change in either site (a
-node's data joining or leaving the view is not derivable from dirty flags)
-and any fabric partition epoch change (messages -- including this
-service's own streams -- may have been lost).  A session interrupted by a
+node's data joining or leaving the view is not derivable from dirty flags),
+a ring membership change (checked against ``membership_epoch`` when a cache
+or marker is used, so neither can outlive its ring) and any fabric
+partition epoch change (messages -- including this service's own streams
+-- may have been lost).  A session interrupted by a
 partition simply stalls (its messages were dropped or parked); the service
 notices at a later tick and starts a fresh session, so repair resumes
 automatically after heal, exactly like re-running ``nodetool repair``.
@@ -226,7 +228,7 @@ class RepairPairStats:
     crossed the WAN (the whole vector per session in full mode, only the
     changed leaves in incremental mode); ``full_sessions`` counts sessions
     that could not use incremental markers (first contact, liveness change,
-    partition epoch change).
+    partition or ring epoch change).
     """
 
     sessions_started: int = 0
@@ -263,10 +265,13 @@ class _TreeCache:
     compare); ``keys_by_leaf`` the inverse index that makes streaming a
     differing leaf O(keys in that leaf).  A liveness change invalidates the
     whole cache (a node's data joining or leaving the view cannot be
-    derived from dirty flags).
+    derived from dirty flags), and so does a ring change: ``ring_epoch`` is
+    the cluster's ``membership_epoch`` the cache was built under.
     """
 
-    __slots__ = ("view", "leaves", "leaf_version", "version", "liveness", "keys_by_leaf")
+    __slots__ = (
+        "view", "leaves", "leaf_version", "version", "liveness", "ring_epoch", "keys_by_leaf",
+    )
 
     def __init__(self, n_leaves: int) -> None:
         self.view: Dict[str, Cell] = {}
@@ -274,6 +279,7 @@ class _TreeCache:
         self.leaf_version: List[int] = [0] * n_leaves
         self.version = 0
         self.liveness: Tuple[NodeAddress, ...] = ()
+        self.ring_epoch = -1
         self.keys_by_leaf: Dict[int, set] = {}
 
 
@@ -282,8 +288,8 @@ class _PairSync:
 
     ``initiator_seen`` / ``partner_seen`` are the tree-cache versions up to
     which both sides' leaves have been mutually compared; ``epoch`` is the
-    fabric partition epoch the markers are valid for.  ``-1`` forces a full
-    exchange.
+    (fabric partition epoch, ring membership epoch) pair the markers are
+    valid for.  ``-1`` forces a full exchange.
     """
 
     __slots__ = ("initiator_seen", "partner_seen", "epoch")
@@ -291,7 +297,7 @@ class _PairSync:
     def __init__(self) -> None:
         self.initiator_seen = -1
         self.partner_seen = -1
-        self.epoch = -1
+        self.epoch: Tuple[int, int] = (-1, -1)
 
 
 class _Session:
@@ -329,7 +335,7 @@ class _Session:
         self.requested_leaves: Optional[Tuple[int, ...]] = None
         self.initiator_version = -1
         self.partner_version = -1
-        self.epoch_at_start = -1
+        self.epoch_at_start = (-1, -1)
         self.drops_at_start = -1
         self.response_leaves: Optional[Dict[int, int]] = None
 
@@ -418,19 +424,10 @@ class AntiEntropyService:
         if self._process is not None:
             self._process.stop()
 
-    def invalidate_caches(self) -> None:
-        """Drop the persistent tree caches and force full exchanges.
-
-        Called after a ring membership change: the per-DC views fold cells
-        per *placement*, and the incremental sync markers assume the leaves
-        kept meaning the same ranges.  Neither survives a topology change
-        (liveness tracking alone cannot detect one -- the same nodes may be
-        up while owning different ranges).
-        """
-        self._caches.clear()
-        for sync in self._pair_sync.values():
-            sync.initiator_seen = -1
-            sync.partner_seen = -1
+    def _epoch(self) -> Tuple[int, int]:
+        """The (partition, membership) epochs sync markers are valid for."""
+        cluster = self.cluster
+        return cluster.fabric.partition_epoch, cluster.membership_epoch
 
     @property
     def running(self) -> bool:
@@ -534,10 +531,9 @@ class AntiEntropyService:
         if config.incremental:
             cache = self._refresh_cache(dc_a)
             sync = self._pair_sync[pair]
-            fabric = self.cluster.fabric
-            epoch = fabric.partition_epoch
+            epoch = self._epoch()
             session.epoch_at_start = epoch
-            session.drops_at_start = fabric.stats.dropped
+            session.drops_at_start = self.cluster.fabric.stats.dropped
             session.initiator_version = cache.version
             full = sync.initiator_seen < 0 or sync.partner_seen < 0 or sync.epoch != epoch
             session.full = full
@@ -644,17 +640,17 @@ class AntiEntropyService:
             if self.tracer is not None:
                 self.tracer.repair_session(session.pair, len(differing), stats.bytes_sent)
             # Advance the pair's sync markers only if no message was lost
-            # anywhere during the session: a changed partition epoch OR a
-            # grown fabric drop counter (drop_probability losses, drop-mode
-            # partitions -- including this session's own repair streams,
-            # which were just sent above) means divergence may have escaped
-            # this exchange, so the next session falls back to a full one.
-            # Incremental repair never trusts state across message loss.
+            # and the ring held still during the session: a changed
+            # partition or membership epoch OR a grown fabric drop counter
+            # (drop_probability losses, drop-mode partitions -- including
+            # this session's own repair streams, which were just sent above)
+            # means divergence may have escaped this exchange, so the next
+            # session falls back to a full one.  Incremental repair never
+            # trusts state across message loss or a ring change.
             sync = self._pair_sync[session.pair]
-            fabric = self.cluster.fabric
             if (
-                fabric.partition_epoch == session.epoch_at_start
-                and fabric.stats.dropped == session.drops_at_start
+                self._epoch() == session.epoch_at_start
+                and self.cluster.fabric.stats.dropped == session.drops_at_start
             ):
                 sync.initiator_seen = session.initiator_version
                 sync.partner_seen = session.partner_version
@@ -686,9 +682,9 @@ class AntiEntropyService:
 
         Steady state: drain the dirty-key sets of the site's live nodes and
         re-fold only the touched (key, version) pairs -- O(changed keys).
-        A liveness change (node/site down or up) rebuilds from scratch:
-        which replicas contribute to the view cannot be derived from dirty
-        flags.
+        A liveness change (node/site down or up) or a ring change rebuilds
+        from scratch: which replicas contribute to the view cannot be
+        derived from dirty flags.
         """
         cluster = self.cluster
         nodes = cluster.nodes
@@ -702,7 +698,8 @@ class AntiEntropyService:
         cstats["refreshes"] += 1
         token_of = cluster.ring.partitioner.token
         shift = 64 - self.config.depth
-        if cache is None or cache.liveness != alive:
+        ring_epoch = cluster.membership_epoch
+        if cache is None or cache.liveness != alive or cache.ring_epoch != ring_epoch:
             # Full rebuild; reset every node's dirty set (down nodes
             # included -- their data re-enters through the next rebuild
             # when liveness changes again).
@@ -710,6 +707,7 @@ class AntiEntropyService:
                 nodes[address].storage.drain_dirty()
             fresh = _TreeCache(1 << self.config.depth)
             fresh.liveness = alive
+            fresh.ring_epoch = ring_epoch
             fresh.version = (cache.version + 1) if cache is not None else 1
             view = self._dc_view(datacenter)
             fresh.view = view

@@ -30,6 +30,7 @@ from repro.cluster.node import NodeConfig, StorageNode
 from repro.cluster.replication import (
     NetworkTopologyStrategy,
     OldNetworkTopologyStrategy,
+    Placement,
     ReplicationStrategy,
     SimpleStrategy,
 )
@@ -244,11 +245,6 @@ class SimulatedCluster:
         self.engine = engine or SimulationEngine()
         self.streams = streams or RandomStreams(seed=config.seed)
         self.topology = resolve_topology(config)
-        if self.topology.size < config.replication_factor:
-            raise ValueError(
-                f"topology has {self.topology.size} nodes, fewer than the replication "
-                f"factor {config.replication_factor}"
-            )
         self.fabric = NetworkFabric(
             self.engine,
             self.topology,
@@ -267,22 +263,12 @@ class SimulatedCluster:
         self.members: List[NodeAddress] = [
             a for a in self.topology.nodes if a not in self._spare_set
         ]
-        if len(self.members) < config.replication_factor:
-            raise ValueError(
-                f"only {len(self.members)} ring members after reserving spares, fewer "
-                f"than the replication factor {config.replication_factor}"
-            )
         #: Bumped on every ring membership change (bootstrap cutover,
-        #: decommission, abort rollback).  The sharded-PDES runtime checks it
-        #: between windows: a mid-window change is a loud error, never silent
+        #: decommission).  The sharded-PDES runtime checks it between
+        #: windows: a mid-window change is a loud error, never silent
         #: corruption.
         self.membership_epoch = 0
         self._partitioner = config.partitioner or Murmur3Partitioner()
-        self.ring = TokenRing(
-            self.members,
-            partitioner=self._partitioner,
-            vnodes=config.vnodes,
-        )
         self.strategy: ReplicationStrategy
         if config.strategy == "old_network_topology":
             self.strategy = OldNetworkTopologyStrategy(config.replication_factor, self.topology)
@@ -291,13 +277,15 @@ class SimulatedCluster:
             self.strategy = NetworkTopologyStrategy(config.replication_factors, self.topology)
         else:
             self.strategy = SimpleStrategy(config.replication_factor)
+        #: Replica placement of the current ring; replaced whole by
+        #: :meth:`set_members`, never mutated.
+        self.placement = self.placement_for(self.members)
         self.stats = ClusterStats()
         #: Shared liveness view consulted by every coordinator before doing
         #: work for a request (see :mod:`repro.faults.detector`).
         self.failure_detector = FailureDetector()
         self.nodes: Dict[NodeAddress, StorageNode] = {}
         self.coordinators: Dict[NodeAddress, Coordinator] = {}
-        self._replica_cache: Dict[str, Tuple[NodeAddress, ...]] = {}
         for address in self.topology.nodes:
             counters = self.stats.register_node(address)
             node = StorageNode(
@@ -363,10 +351,12 @@ class SimulatedCluster:
     def set_members(self, members: Sequence[NodeAddress]) -> None:
         """Install a new ring membership (the membership cutover hook).
 
-        Rebuilds the token ring from ``members``, bumps
-        :attr:`membership_epoch` and invalidates every placement-derived
-        cache.  Callers (the membership manager) are responsible for data
-        movement -- this only flips what ``replicas_for`` answers.
+        Builds the new :class:`Placement` first (so a membership the
+        strategy cannot place on raises ``ValueError`` and changes nothing),
+        then swaps it in, bumps :attr:`membership_epoch` and rebuilds the
+        coordinator round-robins.  Callers (the membership manager) are
+        responsible for data movement -- this only flips what
+        ``replicas_for`` answers.
         """
         members = list(members)
         member_set = set(members)
@@ -375,51 +365,35 @@ class SimulatedCluster:
                 raise ValueError(f"unknown address {address!r} in new membership")
         if len(member_set) != len(members):
             raise ValueError("duplicate address in new membership")
-        if len(members) < self.config.replication_factor:
-            raise ValueError(
-                f"new membership has {len(members)} nodes, fewer than the "
-                f"replication factor {self.config.replication_factor}"
-            )
+        self.placement = self.placement_for(members)
         self.members = members
         self._spare_set = frozenset(a for a in self.topology.nodes if a not in member_set)
         self.spares = tuple(a for a in self.topology.nodes if a not in member_set)
-        self.ring = TokenRing(
-            members, partitioner=self._partitioner, vnodes=self.config.vnodes
-        )
         self.membership_epoch += 1
-        self.invalidate_placement()
-
-    def invalidate_placement(self) -> None:
-        """Drop every cache derived from ring placement.
-
-        Must run after any membership change: the cluster replica cache, the
-        coordinator route/proximity/requirement caches and the anti-entropy
-        tree caches all assume a static ring between invalidations.
-        """
-        self._replica_cache.clear()
         self._rebuild_round_robins()
-        for coordinator in self.coordinators.values():
-            coordinator.invalidate_routes()
-        if self.anti_entropy is not None:
-            self.anti_entropy.invalidate_caches()
 
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def replicas_for(self, key: str) -> Tuple[NodeAddress, ...]:
-        """Replica set of ``key`` (preference order; cached per key).
+    def placement_for(self, members: Sequence[NodeAddress]) -> Placement:
+        """The placement a ring of ``members`` would have (``ValueError``
+        when the strategy cannot place every replica on those members)."""
+        ring = TokenRing(members, partitioner=self._partitioner, vnodes=self.config.vnodes)
+        return Placement(ring, self.strategy)
 
-        The returned tuple is the cache entry itself -- immutable, shared by
-        every caller, and hashable so the coordinators can key their
-        proximity caches on it.  (The previous implementation copied the
-        cached list on every call, which dominated the placement cost on
-        large rings.)
+    @property
+    def ring(self) -> TokenRing:
+        """The token ring of the current placement."""
+        return self.placement.ring
+
+    def replicas_for(self, key: str) -> Tuple[NodeAddress, ...]:
+        """Replica set of ``key`` in preference order.
+
+        The tuple is the current placement's entry for the key's range --
+        immutable, shared by every key of the range, and hashable so the
+        coordinators can key their routes on it.
         """
-        cached = self._replica_cache.get(key)
-        if cached is None:
-            cached = tuple(self.strategy.replicas(self.ring, key))
-            self._replica_cache[key] = cached
-        return cached
+        return self.placement.replicas_for(key)
 
     @property
     def replication_factor(self) -> int:

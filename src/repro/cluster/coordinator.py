@@ -279,28 +279,13 @@ class Coordinator:
         # Reads at level ALL that detected divergent replicas and are waiting
         # for the blocking read repair to finish (paper Fig. 1, left side).
         self._blocking_repairs: Dict[int, _PendingRead] = {}
-        # Hot-path caches, all keyed on the cluster's shared replica tuples
-        # (immutable and hashable).  Replica sets recur for every operation
-        # on the same key -- and, with NetworkTopologyStrategy, across many
-        # keys -- so proximity sorts and per-DC requirement resolution are
-        # computed once per (level, replica set) instead of per operation.
+        # Hot-path caches keyed on replica tuples (immutable and hashable).
+        # A route (see _route) is a pure function of (level, replica set),
+        # this coordinator's address and the static topology.  Keyed on the
+        # replica set rather than the key, no entry can outlive a placement
+        # change: a key whose replicas move simply looks up another tuple.
+        self._route_cache: Dict[Tuple[ConsistencyLevel, Tuple[NodeAddress, ...]], List] = {}
         self._proximity_cache: Dict[Sequence[NodeAddress], Tuple[NodeAddress, ...]] = {}
-        self._requirement_cache: Dict[
-            Tuple[ConsistencyLevel, Sequence[NodeAddress]],
-            Tuple[int, Optional[Dict[str, int]]],
-        ] = {}
-        self._dc_contacts_cache: Dict[
-            Tuple[ConsistencyLevel, Sequence[NodeAddress]], Tuple[NodeAddress, ...]
-        ] = {}
-        # Per-(level, key) route cache: [replicas, required, required_by_dc,
-        # contacted-or-None].  Replica placement is static for the lifetime
-        # of a ring, so the whole resolution chain (placement lookup,
-        # requirement, proximity prefix) collapses to one dict hit keyed by
-        # cheap string/enum hashes instead of hashing replica tuples.
-        # A caller that supplies a *dynamic* ``replicas_for`` (placement that
-        # changes over time) must call :meth:`invalidate_routes` after every
-        # change -- the cache has no other invalidation trigger.
-        self._route_cache: Dict[Tuple[ConsistencyLevel, str], List] = {}
         # Shared fixed-delay timer queues (one per distinct delay value)
         # replacing the historical one-engine-event-per-operation timeouts:
         # arming is an append, completion is an O(1) cancel, and dead entries
@@ -321,18 +306,6 @@ class Coordinator:
         # The coordinator receives replica responses at a dedicated logical
         # address component; responses are routed back via the fabric handler
         # installed by the owning cluster (see SimulatedCluster).
-
-    def invalidate_routes(self) -> None:
-        """Drop every cached (level, key) route and derived placement cache.
-
-        Required after a change to what ``replicas_for`` returns (placement
-        is static in the shipped cluster, so this never runs on the hot
-        path; the hook exists for callers simulating token movement).
-        """
-        self._route_cache.clear()
-        self._proximity_cache.clear()
-        self._requirement_cache.clear()
-        self._dc_contacts_cache.clear()
 
     def set_pending_hooks(
         self,
@@ -376,19 +349,13 @@ class Coordinator:
 
         Returns the request id (useful for tracing in tests).
         """
-        route = self._route_cache.get((consistency_level, key))
+        replicas = self._replicas_for(key)
+        if type(replicas) is not tuple:  # user-supplied replicas_for callables
+            replicas = tuple(replicas)
+        route = self._route_cache.get((consistency_level, replicas))
         if route is None:
-            replicas = self._replicas_for(key)
-            if type(replicas) is not tuple:  # user-supplied replicas_for callables
-                replicas = tuple(replicas)
-            required, required_by_dc = self._requirement(consistency_level, replicas)
-            self._route_cache[(consistency_level, key)] = [
-                replicas, required, required_by_dc, None,
-            ]
-        else:
-            replicas = route[0]
-            required = route[1]
-            required_by_dc = route[2]
+            route = self._route(consistency_level, replicas)
+        required, required_by_dc, _ = route
         pending_provider = self._pending_provider
         if pending_provider is not None:
             extra = pending_provider(key)
@@ -397,9 +364,9 @@ class Coordinator:
                 # and raise the requirement by the pending count, so enough
                 # *natural* acknowledgements remain even if every pending
                 # target answered (quorum-intersection safety across both
-                # an abort and a cutover).  Route-cache entries stay
-                # pending-free: the adjustment is applied per write and
-                # vanishes with the provider.
+                # an abort and a cutover).  Routes stay pending-free: the
+                # adjustment is applied per write and vanishes with the
+                # provider.
                 replicas = replicas + extra
                 if required_by_dc is None:
                     required = required + len(extra)
@@ -467,50 +434,20 @@ class Coordinator:
         """Issue a read; ``callback`` receives the :class:`OperationResult`."""
         if consistency_level.is_write_only:
             raise ValueError("consistency level ANY cannot be used for reads")
-        route = self._route_cache.get((consistency_level, key))
+        replicas = self._replicas_for(key)
+        if type(replicas) is not tuple:  # user-supplied replicas_for callables
+            replicas = tuple(replicas)
+        route = self._route_cache.get((consistency_level, replicas))
         if route is None:
-            replicas = self._replicas_for(key)
-            if type(replicas) is not tuple:  # user-supplied replicas_for callables
-                replicas = tuple(replicas)
-            required, required_by_dc = self._requirement(consistency_level, replicas)
-            route = [replicas, required, required_by_dc, None]
-            self._route_cache[(consistency_level, key)] = route
-        else:
-            replicas = route[0]
-            required = route[1]
-            required_by_dc = route[2]
+            route = self._route(consistency_level, replicas)
+        required, required_by_dc, contacted = route
         if not self._is_achievable(replicas, required, required_by_dc):
             return self._reject_unavailable(
                 "read", key, consistency_level, required, replicas, callback
             )
         request_id = next(self._request_ids)
-        contacted = route[3]
         if contacted is None:
-            if required_by_dc is None:
-                # The contacted prefix only depends on (level, replica set):
-                # cache the slice itself so the hot path pays one dict hit.
-                contacted = self._dc_contacts_cache.get((consistency_level, replicas))
-                if contacted is None:
-                    contacted = self._order_by_proximity(replicas)[:required]
-                    self._dc_contacts_cache[(consistency_level, replicas)] = contacted
-            else:
-                # DC-aware level: contact exactly the required count in every
-                # datacenter with a requirement (LOCAL_* touch only the local
-                # DC).  The union is re-sorted by proximity so the closest
-                # contacted replica receives the full data request (index 0
-                # below) and the rest get digests, as in the classic path.
-                # The selection only depends on (level, replica set), so it
-                # is cached.
-                contacted = self._dc_contacts_cache.get((consistency_level, replicas))
-                if contacted is None:
-                    union: List[NodeAddress] = []
-                    for dc, need in required_by_dc.items():
-                        in_dc = [r for r in replicas if self._topology.datacenter_of(r) == dc]
-                        in_dc.sort(key=lambda r: self._topology.mean_latency(self.address, r))
-                        union.extend(in_dc[:need])
-                    contacted = self._order_by_proximity(tuple(union))
-                    self._dc_contacts_cache[(consistency_level, replicas)] = contacted
-            route[3] = contacted
+            contacted = route[2] = self._contacts(replicas, required, required_by_dc)
         # Global read repair: occasionally contact every replica so the
         # background repair can fix stale ones even under CL=ONE (for LOCAL_*
         # levels this round is also the cross-DC anti-entropy path).
@@ -938,35 +875,51 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _requirement(
-        self, level: ConsistencyLevel, replicas: Tuple[NodeAddress, ...]
-    ) -> tuple[int, Optional[Dict[str, int]]]:
-        """Resolve a level against a replica set.
+    def _route(self, level: ConsistencyLevel, replicas: Tuple[NodeAddress, ...]) -> List:
+        """Resolve and cache a level against a replica set.
 
-        Returns ``(total, per_dc)`` where ``per_dc`` is ``None`` for the
-        classic count-based levels and a datacenter -> count map for the
-        DC-aware ones (``total`` is then the sum over datacenters).  The
-        resolution is pure in ``(level, replicas)`` and cached; callers must
-        treat the returned per-DC map as read-only.
+        Returns ``[total, per_dc, contacted]``.  ``per_dc`` is ``None`` for
+        the classic count-based levels and a datacenter -> count map for the
+        DC-aware ones (``total`` is then the sum over datacenters); callers
+        must treat it as read-only.  ``contacted`` stays ``None`` until a
+        read fills it in (:meth:`_contacts`): writes never need it, and
+        resolving it grows the topology's per-(coordinator, replica)
+        latency cache.
         """
-        key = (level, replicas)
-        cached = self._requirement_cache.get(key)
-        if cached is not None:
-            return cached
         if not level.is_datacenter_aware:
-            resolved: Tuple[int, Optional[Dict[str, int]]] = (
-                level.blocked_for(len(replicas)),
-                None,
-            )
+            route = [level.blocked_for(len(replicas)), None, None]
         else:
             counts: Dict[str, int] = {}
             for replica in replicas:
                 dc = self._topology.datacenter_of(replica)
                 counts[dc] = counts.get(dc, 0) + 1
             by_dc = blocked_for_datacenters(level, counts, self.datacenter)
-            resolved = (sum(by_dc.values()), by_dc)
-        self._requirement_cache[key] = resolved
-        return resolved
+            route = [sum(by_dc.values()), by_dc, None]
+        self._route_cache[(level, replicas)] = route
+        return route
+
+    def _contacts(
+        self,
+        replicas: Tuple[NodeAddress, ...],
+        required: int,
+        required_by_dc: Optional[Dict[str, int]],
+    ) -> Tuple[NodeAddress, ...]:
+        """The replicas a read contacts, closest first.
+
+        Count-based levels take the ``required`` closest replicas.  DC-aware
+        levels contact exactly the required count in every datacenter with a
+        requirement (LOCAL_* touch only the local DC); the union is re-sorted
+        by proximity so the closest receives the full data request and the
+        rest get digests, as in the classic path.
+        """
+        if required_by_dc is None:
+            return self._order_by_proximity(replicas)[:required]
+        union: List[NodeAddress] = []
+        for dc, need in required_by_dc.items():
+            in_dc = [r for r in replicas if self._topology.datacenter_of(r) == dc]
+            in_dc.sort(key=lambda r: self._topology.mean_latency(self.address, r))
+            union.extend(in_dc[:need])
+        return self._order_by_proximity(tuple(union))
 
     def _satisfied(
         self,

@@ -52,13 +52,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.ring import TokenRing
 from repro.network.fabric import MessageKind
 from repro.network.topology import NodeAddress
 from repro.sim.background import PeriodicProcess
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import SimulatedCluster
+    from repro.cluster.replication import Placement
     from repro.cluster.storage import Cell
 
 __all__ = ["MembershipConfig", "MembershipManager", "Transition"]
@@ -176,8 +176,9 @@ class MembershipManager:
         #: Reads observed contacting a pending target (must stay 0; the
         #: chaos ``no_pending_range_reads`` invariant asserts on it).
         self.pending_read_violations = 0
-        self._target_ring: Optional[TokenRing] = None
-        self._pending_cache: Dict[str, Tuple[NodeAddress, ...]] = {}
+        #: Placement once every active transition has cut over (``None``
+        #: with no active transition).  Replaced whole, never mutated.
+        self._target: Optional["Placement"] = None
         self._process: Optional[PeriodicProcess] = None
         #: Optional op-lifecycle tracer (attach via Tracer.attach_membership).
         self.tracer = None
@@ -232,21 +233,15 @@ class MembershipManager:
 
         The new owners of its ranges become pending write targets; the node
         leaves only when they have caught up, and drains its hints on the
-        way out.
+        way out.  Raises ``ValueError`` (admitting nothing) when the ring
+        left once every active transition cuts over could not hold every
+        replica -- in total or in any datacenter.
         """
         cluster = self.cluster
         if node in self._transitions:
             raise ValueError(f"{node} already has an active transition")
         if node not in cluster.members:
             raise ValueError(f"{node} is not a ring member")
-        leaving = 1 + sum(
-            1 for t in self._transitions.values() if t.kind == "decommission"
-        )
-        joining = sum(1 for t in self._transitions.values() if t.kind == "bootstrap")
-        if len(cluster.members) - leaving + joining < cluster.config.replication_factor:
-            raise ValueError(
-                "decommission would shrink the ring below the replication factor"
-            )
         transition = Transition("decommission", node, cluster.engine.now)
         self._admit(transition)
         return transition
@@ -256,18 +251,22 @@ class MembershipManager:
 
         Pending registrations are dropped and streaming stops; no data is
         wiped (streamed cells on a spare are unreachable to reads).  Returns
-        False when the node has no active transition.
+        False when the node has no active transition.  Raises ``ValueError``
+        (aborting nothing) when another transition relies on this one, e.g.
+        a decommission admitted only because this node was joining.
         """
-        transition = self._transitions.pop(node, None)
+        transition = self._transitions.get(node)
         if transition is None:
             return False
+        target = self._target_after([t for t in self._transitions.values() if t is not transition])
+        del self._transitions[node]
+        self._set_target(target)
         transition.state = "aborted"
         transition.completed_at = self.cluster.engine.now
         transition.queue.clear()
         transition.outstanding = None
         transition.backlog_bytes = 0
         self.history.append(transition)
-        self._rebuild_target()
         if self.tracer is not None:
             self.tracer.membership_event(f"{transition.kind}.abort", transition)
         return True
@@ -290,21 +289,14 @@ class MembershipManager:
     def pending_for(self, key: str) -> Tuple[NodeAddress, ...]:
         """Pending write targets of ``key``: target replicas not yet serving.
 
-        The empty tuple for keys whose placement does not change.  Cached
-        per key; the cache is dropped whenever the transition set or the
-        current ring changes.
+        The difference between the target and the current placement's
+        answers; the empty tuple for keys whose placement does not change.
         """
-        cached = self._pending_cache.get(key)
-        if cached is None:
-            target_ring = self._target_ring
-            if target_ring is None:
-                cached = ()
-            else:
-                current = self.cluster.replicas_for(key)
-                target = self.cluster.strategy.replicas(target_ring, key)
-                cached = tuple(a for a in target if a not in current)
-            self._pending_cache[key] = cached
-        return cached
+        target = self._target
+        if target is None:
+            return ()
+        current = self.cluster.replicas_for(key)
+        return tuple(a for a in target.replicas_for(key) if a not in current)
 
     def _guard_read(self, key: str, contacted: Sequence[NodeAddress]) -> None:
         """Read-path invariant probe: reads must never touch a pending target."""
@@ -329,34 +321,37 @@ class MembershipManager:
     # Internals
     # ------------------------------------------------------------------
     def _admit(self, transition: Transition) -> None:
+        # Build the target first: a transition leaving an unplaceable ring
+        # raises here and is never admitted.
+        target = self._target_after([*self._transitions.values(), transition])
         self._transitions[transition.node] = transition
-        self._rebuild_target()
+        self._set_target(target)
         if self.tracer is not None:
             self.tracer.membership_event(f"{transition.kind}.start", transition)
         self.start()
 
-    def _rebuild_target(self) -> None:
-        """Recompute the target ring and (un)install the coordinator hooks."""
-        cluster = self.cluster
-        self._pending_cache.clear()
-        if not self._transitions:
-            self._target_ring = None
-            for coordinator in cluster.coordinators.values():
-                coordinator.set_pending_hooks(None, None)
-            return
-        members = list(cluster.members)
-        for t in self._transitions.values():
+    def _target_after(self, transitions: Sequence[Transition]) -> Optional["Placement"]:
+        """The placement once every one of ``transitions`` has cut over.
+
+        ``None`` for no transitions.  Raises ``ValueError`` when the
+        strategy cannot place every replica on the resulting ring.
+        """
+        if not transitions:
+            return None
+        members = list(self.cluster.members)
+        for t in transitions:
             if t.kind == "bootstrap":
                 members.append(t.node)
             else:
                 members.remove(t.node)
-        self._target_ring = TokenRing(
-            members,
-            partitioner=cluster.ring.partitioner,
-            vnodes=cluster.config.vnodes,
-        )
-        for coordinator in cluster.coordinators.values():
-            coordinator.set_pending_hooks(self.pending_for, self._guard_read)
+        return self.cluster.placement_for(members)
+
+    def _set_target(self, target: Optional["Placement"]) -> None:
+        """Install the target placement and (un)install the coordinator hooks."""
+        self._target = target
+        hooks = (None, None) if target is None else (self.pending_for, self._guard_read)
+        for coordinator in self.cluster.coordinators.values():
+            coordinator.set_pending_hooks(*hooks)
 
     def on_ring_changed(self) -> None:
         """React to a ring membership change (cutover of some transition).
@@ -365,7 +360,7 @@ class MembershipManager:
         current ring and re-diff their streaming queues -- already-complete
         keys verify equal and are not re-streamed.
         """
-        self._rebuild_target()
+        self._set_target(self._target_after(list(self._transitions.values())))
         for t in self._transitions.values():
             t.queue.clear()
             t.outstanding = None

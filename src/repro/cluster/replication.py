@@ -18,14 +18,19 @@ strategy selects which nodes hold the ``RF`` replicas of a key.
   configured number of replicas from the walk, spreading them over distinct
   racks first -- exactly the placement contract the DC-aware consistency
   levels (``LOCAL_QUORUM``, ``EACH_QUORUM``) rely on.
+
+A :class:`Placement` binds a strategy to the ring of one membership epoch
+and answers key -> replica-set lookups once per token range.
 """
 
 from __future__ import annotations
 
+import bisect
 from abc import ABC, abstractmethod
-from typing import Dict, List, Mapping, Optional, Sequence
+from collections import Counter
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cluster.ring import TokenRing
+from repro.cluster.ring import Partitioner, TokenRing
 from repro.network.topology import NodeAddress, Topology
 
 __all__ = [
@@ -33,6 +38,7 @@ __all__ = [
     "SimpleStrategy",
     "OldNetworkTopologyStrategy",
     "NetworkTopologyStrategy",
+    "Placement",
 ]
 
 
@@ -57,6 +63,14 @@ class ReplicationStrategy(ABC):
         ring can stop walking early.
         """
         return None
+
+    def check_ring(self, ring: TokenRing) -> None:
+        """Raise ``ValueError`` unless every key of ``ring`` can be placed."""
+        if ring.size < self.replication_factor:
+            raise ValueError(
+                f"ring has {ring.size} members, below the replication factor "
+                f"{self.replication_factor}"
+            )
 
     def replicas(self, ring: TokenRing, key: str) -> List[NodeAddress]:
         """Replica set for a key; the first element is the primary replica."""
@@ -196,6 +210,18 @@ class NetworkTopologyStrategy(ReplicationStrategy):
         """Replicas held by one datacenter (0 for datacenters not configured)."""
         return self._factors.get(datacenter, 0)
 
+    def check_ring(self, ring: TokenRing) -> None:
+        # The constructor checked the topology, spares included; the ring
+        # may hold fewer nodes of a datacenter.
+        super().check_ring(ring)
+        members = Counter(self._topology.datacenter_of(node) for node in ring.nodes)
+        for dc, rf in self._factors.items():
+            if members[dc] < rf:
+                raise ValueError(
+                    f"datacenter {dc!r} has {members[dc]} ring members, below its "
+                    f"replication factor {rf}"
+                )
+
     def replicas_for_walk(self, walk: Sequence[NodeAddress]) -> List[NodeAddress]:
         chosen: set[NodeAddress] = set()
         for dc, rf in self._factors.items():
@@ -221,8 +247,43 @@ class NetworkTopologyStrategy(ReplicationStrategy):
                         continue
                     chosen.add(node)
                     taken += 1
-            if taken < rf:  # pragma: no cover - construction validates sizes
+            if taken < rf:  # pragma: no cover - check_ring validates sizes
                 raise RuntimeError(
                     f"walk exhausted before placing {rf} replicas in datacenter {dc!r}"
                 )
         return [node for node in walk if node in chosen]
+
+
+class Placement:
+    """Replica sets of one ring epoch, resolved once per token range.
+
+    Building it checks the strategy against the ring's members, so a ring
+    that cannot hold every replica fails here, not on a write.  A key maps
+    to its token, the token by bisect to the range ending at the next ring
+    token, and the range to one immutable replica tuple, computed by
+    ``strategy.replicas`` on first use: every key of a range starts its
+    ring walk at the same position.  A membership change builds a new
+    ``Placement``, so caches keyed on its tuples never go stale.
+    """
+
+    __slots__ = ("ring", "strategy", "_token", "_ends", "_by_range")
+
+    def __init__(self, ring: TokenRing, strategy: ReplicationStrategy) -> None:
+        strategy.check_ring(ring)
+        self.ring = ring
+        self.strategy = strategy
+        self._token = ring.partitioner.token
+        self._ends = ring.tokens
+        self._by_range: List[Optional[Tuple[NodeAddress, ...]]] = [None] * len(self._ends)
+
+    def replicas_for(self, key: str) -> Tuple[NodeAddress, ...]:
+        """Replica set of ``key``; the first element is the primary replica."""
+        ends = self._ends
+        index = bisect.bisect_left(ends, self._token(key) % Partitioner.TOKEN_SPACE)
+        if index == len(ends):
+            index = 0  # past the last token: the range wrapping through zero
+        replicas = self._by_range[index]
+        if replicas is None:
+            replicas = tuple(self.strategy.replicas(self.ring, key))
+            self._by_range[index] = replicas
+        return replicas

@@ -126,6 +126,11 @@ class TokenRing:
         return list(self._nodes)
 
     @property
+    def tokens(self) -> List[int]:
+        """Sorted ring tokens (a copy); token ``i`` ends the ``i``-th range."""
+        return list(self._sorted_tokens)
+
+    @property
     def size(self) -> int:
         return len(self._nodes)
 

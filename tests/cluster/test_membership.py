@@ -4,8 +4,8 @@ Covers the Cassandra 1.0-era operational contract reproduced by
 :mod:`repro.cluster.membership`: pending-range writes (the joiner absorbs
 writes before it ever serves reads), fabric-streamed range transfer with
 source-crash failover and partition pausing, clean aborts, deterministic
-token assignment, and the ring-walk / route-cache invalidation that keeps
-every placement-derived cache honest across a topology change.
+token assignment, and routing that follows the new placement the moment a
+topology change cuts over.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import pytest
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.membership import MembershipConfig, MembershipManager
+from repro.experiments.scenarios import GRID5000_3SITES
+from repro.network.fabric import MessageKind
 
 QUORUM = ConsistencyLevel.QUORUM
 
@@ -75,6 +77,37 @@ class TestAdmission:
         manager = MembershipManager(cluster)
         with pytest.raises(ValueError, match="below the replication factor"):
             manager.begin_decommission(cluster.members[0])
+
+    def test_decommission_checks_each_datacenter_factor(self):
+        # Rennes holds 3 replicas on 4 members: one may leave, two may not.
+        cluster = SimulatedCluster(GRID5000_3SITES.cluster_config(seed=1))
+        manager = MembershipManager(cluster)
+        rennes = cluster.members_in("rennes")
+        first = manager.begin_decommission(rennes[0])
+        pending = {f"key{i}": manager.pending_for(f"key{i}") for i in range(64)}
+        with pytest.raises(ValueError, match="'rennes' has 2 ring members, below its"):
+            manager.begin_decommission(rennes[1])
+        # Nothing was admitted: one transition, same pending targets.
+        assert manager.active_transitions() == [first]
+        assert {k: manager.pending_for(k) for k in pending} == pending
+        result = cluster.write_sync("key0", "v", QUORUM)
+        assert not result.timed_out and not result.unavailable
+        manager.stop()
+
+    def test_abort_refused_while_a_decommission_relies_on_the_join(self):
+        cluster = make_cluster(n_nodes=3)  # RF 3 on 3 members, 1 spare
+        manager = MembershipManager(cluster)
+        spare = cluster.spares[0]
+        manager.begin_bootstrap(spare)
+        manager.begin_decommission(cluster.members[0])
+        with pytest.raises(ValueError, match="below the replication factor"):
+            manager.abort(spare)
+        assert len(manager.active_transitions()) == 2
+        # Newest first unwinds cleanly.
+        assert manager.abort(cluster.members[0])
+        assert manager.abort(spare)
+        assert not manager.has_active
+        manager.stop()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -270,29 +303,56 @@ class TestTokenDeterminism:
             assert set(cluster.replicas_for(key)) <= targets
 
 
+def record_read_requests(cluster: SimulatedCluster) -> list:
+    """Record the destination of every read request the fabric sends."""
+    contacted = []
+    send = cluster.fabric.send
+
+    def recording_send(src, dst, kind, payload, **kwargs):
+        if kind == MessageKind.READ_REQUEST:
+            contacted.append((payload[1], dst))
+        return send(src, dst, kind, payload, **kwargs)
+
+    cluster.fabric.send = recording_send
+    return contacted
+
+
 class TestCacheInvalidation:
-    """Regression: PR-2/PR-5 placement caches must not survive a ring flip."""
+    """Regression: no placement-derived route may survive a ring flip."""
+
+    LEVELS = (QUORUM, ConsistencyLevel.ONE, ConsistencyLevel.ALL)
 
     def test_route_cache_cannot_go_stale_across_a_join(self):
         cluster = make_cluster(seed=13)
         seed_data(cluster)
-        # Warm every coordinator's route cache with reads for every key.
-        for i in range(32):
-            cluster.read_sync(f"key{i}", QUORUM)
-        warmed = sum(len(c._route_cache) for c in cluster.coordinators.values())
-        assert warmed > 0
+        keys = [f"key{i}" for i in range(32)]
+        # Warm every coordinator's routes for every key at every level.
+        for key in keys:
+            for level in self.LEVELS:
+                for address in cluster.members:
+                    cluster.read_sync(key, level, coordinator=address)
         manager = MembershipManager(cluster)
-        manager.begin_bootstrap(cluster.spares[0])
+        spare = cluster.spares[0]
+        manager.begin_bootstrap(spare)
+        moved = [k for k in keys if spare in manager.pending_for(k)]
+        assert moved, "join moved no sampled key -- widen the sample"
         drive_to_completion(cluster, manager)
         manager.stop()
         cluster.settle()
-        # The cutover dropped every cached route...
-        assert all(not c._route_cache for c in cluster.coordinators.values())
-        # ...and fresh reads route strictly by the *new* placement.
-        for i in range(32):
-            key = f"key{i}"
-            result = cluster.read_sync(key, QUORUM)
-            assert set(result.responded) <= set(cluster.replicas_for(key))
+        # Fresh reads through every coordinator contact only the new owners.
+        contacted = record_read_requests(cluster)
+        for key in keys:
+            for level in self.LEVELS:
+                for address in cluster.members:
+                    result = cluster.read_sync(key, level, coordinator=address)
+                    assert result.replicas == cluster.replicas_for(key)
+                    assert not result.timed_out and not result.unavailable
+        assert contacted
+        for key, address in contacted:
+            assert address in cluster.replicas_for(key), (key, address)
+        # A read at ALL of a moved key reaches the joiner, which holds it.
+        joined = {(key, address) for key, address in contacted if address == spare}
+        assert {key for key, _ in joined} >= set(moved)
 
     def test_cluster_replica_cache_invalidated_on_cutover(self):
         cluster = make_cluster(seed=13)
@@ -305,7 +365,13 @@ class TestCacheInvalidation:
         assert moved, "join moved no sampled key -- widen the sample"
         drive_to_completion(cluster, manager)
         manager.stop()
+        cluster.settle()
         for key in moved:
             now = cluster.replicas_for(key)
             assert spare in now
             assert now != before[key]
+            # Moved keys answer from the new replica set, newest value intact.
+            result = cluster.read_sync(key, ConsistencyLevel.ALL)
+            assert result.replicas == now
+            assert set(result.responded) == set(now)
+            assert result.cell is not None and result.cell.value == f"v{key[3:]}"

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.replication import NetworkTopologyStrategy
+from repro.cluster.cluster import SimulatedCluster
+from repro.cluster.replication import NetworkTopologyStrategy, Placement
 from repro.cluster.ring import Murmur3Partitioner, TokenRing
+from repro.experiments.scenarios import GRID5000_3SITES
 from repro.network.topology import TopologyBuilder
 
 
@@ -62,6 +65,23 @@ class TestValidation:
     def test_zero_entries_are_dropped(self, three_site_topology):
         strategy = NetworkTopologyStrategy({"dc1": 2, "dc2": 0}, three_site_topology)
         assert strategy.replication_factors == {"dc1": 2}
+
+    def test_placement_rejects_factor_above_dc_ring_members(self, three_site_topology):
+        strategy = NetworkTopologyStrategy({"dc1": 4}, three_site_topology)
+        members = [n for n in three_site_topology.nodes if n != three_site_topology.nodes[0]]
+        with pytest.raises(ValueError, match="'dc1' has 3 ring members, below its"):
+            Placement(TokenRing(members, vnodes=8), strategy)
+
+    def test_cluster_rejects_factor_that_only_fits_with_spares(self):
+        # Rennes has 4 nodes, one of them a spare: a factor of 4 fits the
+        # topology but not the ring, so the build fails -- not the first write.
+        config = dataclasses.replace(
+            GRID5000_3SITES.cluster_config(seed=1),
+            replication_factors={"rennes": 4, "sophia": 2, "nancy": 2},
+            spares_per_dc=1,
+        )
+        with pytest.raises(ValueError, match="'rennes' has 3 ring members, below its"):
+            SimulatedCluster(config)
 
 
 class TestPlacement:
