@@ -19,8 +19,10 @@ strategy selects which nodes hold the ``RF`` replicas of a key.
   racks first -- exactly the placement contract the DC-aware consistency
   levels (``LOCAL_QUORUM``, ``EACH_QUORUM``) rely on.
 
-A :class:`Placement` binds a strategy to the ring of one membership epoch
-and answers key -> replica-set lookups once per token range.
+A :class:`Placement` binds a strategy to the ring of one membership epoch:
+it builds every token range's replica set once, in one sweep over the ring
+(:meth:`ReplicationStrategy.table`), and answers key -> replica-set lookups
+from that table.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import bisect
 from abc import ABC, abstractmethod
 from collections import Counter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.cluster.ring import Partitioner, TokenRing
 from repro.network.topology import NodeAddress, Topology
@@ -43,7 +45,7 @@ __all__ = [
 
 
 class ReplicationStrategy(ABC):
-    """Chooses the replica set of a key from the ring walk."""
+    """Chooses the replica set of every token range of a ring."""
 
     def __init__(self, replication_factor: int) -> None:
         if replication_factor < 1:
@@ -52,17 +54,20 @@ class ReplicationStrategy(ABC):
 
     @abstractmethod
     def replicas_for_walk(self, walk: Sequence[NodeAddress]) -> List[NodeAddress]:
-        """Select replicas (in preference order) from a clockwise node walk."""
+        """Select replicas (in preference order) from a clockwise node walk.
 
-    def walk_limit(self) -> Optional[int]:
-        """How many distinct nodes of the clockwise walk this strategy needs.
-
-        ``None`` means the full walk (topology-aware strategies may have to
-        scan past the first RF nodes to find another datacenter or rack);
-        topology-agnostic strategies return their replication factor so the
-        ring can stop walking early.
+        The readable specification of the strategy: :meth:`table` answers,
+        for every range, what this answers for the walk starting there.
         """
-        return None
+
+    @abstractmethod
+    def table(self, ring: TokenRing) -> List[Tuple[NodeAddress, ...]]:
+        """Replica tuple of every range of ``ring``, indexed like ``ring.tokens``.
+
+        Entry ``i`` equals ``replicas_for_walk(ring.walk_from_token(t))``
+        for ``t = ring.tokens[i]``.  Only called on rings that passed
+        :meth:`check_ring`.
+        """
 
     def check_ring(self, ring: TokenRing) -> None:
         """Raise ``ValueError`` unless every key of ``ring`` can be placed."""
@@ -72,30 +77,34 @@ class ReplicationStrategy(ABC):
                 f"{self.replication_factor}"
             )
 
-    def replicas(self, ring: TokenRing, key: str) -> List[NodeAddress]:
-        """Replica set for a key; the first element is the primary replica."""
-        walk = ring.walk_from_key(key, limit=self.walk_limit())
-        if len(walk) < self.replication_factor:
-            raise ValueError(
-                f"replication factor {self.replication_factor} exceeds cluster size {len(walk)}"
-            )
-        selected = self.replicas_for_walk(walk)
-        if len(selected) != self.replication_factor:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"{type(self).__name__} selected {len(selected)} replicas, "
-                f"expected {self.replication_factor}"
-            )
-        return selected
+
+def _fill(chosen: List[int], lap: Sequence[int], position: int, want: int) -> None:
+    """Append distinct owners of ``lap[position:]`` to ``chosen`` until it
+    holds ``want`` (``lap`` is two laps of the ring's owner indices, so one
+    lap from any start has every member)."""
+    while len(chosen) < want:
+        index = lap[position]
+        if index not in chosen:
+            chosen.append(index)
+        position += 1
 
 
 class SimpleStrategy(ReplicationStrategy):
     """First ``RF`` distinct nodes of the walk, topology-agnostic."""
 
-    def walk_limit(self) -> Optional[int]:
-        return self.replication_factor
-
     def replicas_for_walk(self, walk: Sequence[NodeAddress]) -> List[NodeAddress]:
         return list(walk[: self.replication_factor])
+
+    def table(self, ring: TokenRing) -> List[Tuple[NodeAddress, ...]]:
+        nodes = ring.nodes
+        lap = ring.owner_indices * 2
+        rf = self.replication_factor
+        table = []
+        for start in range(len(lap) // 2):
+            chosen = [lap[start]]
+            _fill(chosen, lap, start + 1, rf)
+            table.append(tuple([nodes[i] for i in chosen]))
+        return table
 
 
 class OldNetworkTopologyStrategy(ReplicationStrategy):
@@ -153,6 +162,44 @@ class OldNetworkTopologyStrategy(ReplicationStrategy):
             if node not in chosen:
                 chosen.append(node)
         return chosen
+
+    def table(self, ring: TokenRing) -> List[Tuple[NodeAddress, ...]]:
+        # The node a rule picks from a walk is the owner of the first
+        # position with its property, so two backward sweeps over two laps
+        # of the ring give every start's rule-2 and rule-3 position.
+        nodes = ring.nodes
+        rf = self.replication_factor
+        owners = ring.owner_indices
+        count = len(owners)
+        lap = owners * 2
+        span = len(lap)  # "no such position": beyond every lap
+        topology = self._topology
+        dc_of = [topology.datacenter_of(node) for node in nodes]
+        rack_of = [topology.rack_of(node) for node in nodes]
+        dc = [dc_of[i] for i in lap]
+        rack = [rack_of[i] for i in lap]  # only compared within one datacenter
+        next_other_dc = [span] * span
+        next_other_rack = [span] * span  # same datacenter, another rack
+        next_in_dc: Dict[str, int] = {}
+        for p in range(span - 1, -1, -1):
+            if p + 1 < span:
+                next_other_dc[p] = p + 1 if dc[p + 1] != dc[p] else next_other_dc[p + 1]
+            q = next_in_dc.get(dc[p], span)
+            next_other_rack[p] = q if q == span or rack[q] != rack[p] else next_other_rack[q]
+            next_in_dc[dc[p]] = p
+        table = []
+        for start in range(count):
+            chosen = [lap[start]]
+            end = start + count
+            q = next_other_dc[start]
+            if q < end and len(chosen) < rf:
+                chosen.append(lap[q])
+            q = next_other_rack[start]
+            if q < end and len(chosen) < rf:
+                chosen.append(lap[q])
+            _fill(chosen, lap, start + 1, rf)
+            table.append(tuple([nodes[i] for i in chosen]))
+        return table
 
 
 class NetworkTopologyStrategy(ReplicationStrategy):
@@ -253,28 +300,74 @@ class NetworkTopologyStrategy(ReplicationStrategy):
                 )
         return [node for node in walk if node in chosen]
 
+    def table(self, ring: TokenRing) -> List[Tuple[NodeAddress, ...]]:
+        # Each datacenter walks only its own positions, from the first one
+        # at or after the range start.  The first pass stops at the factor
+        # or once every rack of the datacenter in the ring holds a replica;
+        # a node is picked at its first position, whose offset from the
+        # start is its place in the walk.
+        nodes = ring.nodes
+        owners = ring.owner_indices
+        count = len(owners)
+        topology = self._topology
+        rack_of = [topology.rack_of(node) for node in nodes]
+        per_dc = []
+        for dc, rf in self._factors.items():
+            positions = [
+                p for p, i in enumerate(owners) if topology.datacenter_of(nodes[i]) == dc
+            ]
+            racks = len({rack_of[owners[p]] for p in positions})
+            per_dc.append((rf, min(rf, racks), positions, positions * 2))
+        table = []
+        for start in range(count):
+            offsets: Dict[int, int] = {}
+            for rf, distinct, positions, lap in per_dc:
+                first = bisect.bisect_left(positions, start)
+                racks_used: set[str] = set()
+                j = first
+                while len(racks_used) < distinct:
+                    p = lap[j]
+                    i = owners[p]
+                    if rack_of[i] not in racks_used:
+                        offsets[i] = (p - start) % count
+                        racks_used.add(rack_of[i])
+                    j += 1
+                # Racks exhausted before the factor: reuse racks.
+                taken = distinct
+                j = first
+                while taken < rf:
+                    p = lap[j]
+                    i = owners[p]
+                    if i not in offsets:
+                        offsets[i] = (p - start) % count
+                        taken += 1
+                    j += 1
+            table.append(tuple([nodes[i] for i in sorted(offsets, key=offsets.__getitem__)]))
+        return table
+
 
 class Placement:
-    """Replica sets of one ring epoch, resolved once per token range.
+    """Replica sets of one ring epoch, one immutable tuple per token range.
 
     Building it checks the strategy against the ring's members, so a ring
-    that cannot hold every replica fails here, not on a write.  A key maps
-    to its token, the token by bisect to the range ending at the next ring
-    token, and the range to one immutable replica tuple, computed by
-    ``strategy.replicas`` on first use: every key of a range starts its
-    ring walk at the same position.  A membership change builds a new
-    ``Placement``, so caches keyed on its tuples never go stale.
+    that cannot hold every replica fails here, not on a write, and then
+    builds every range's tuple in one sweep (``strategy.table``).  A key
+    maps to its token, and the token by bisect to the range ending at the
+    next ring token: every key of a range starts its ring walk at the same
+    position.  A membership change builds a new ``Placement``, so caches
+    keyed on its tuples never go stale.
     """
 
-    __slots__ = ("ring", "strategy", "_token", "_ends", "_by_range")
+    __slots__ = ("ring", "strategy", "table", "_token", "_ends")
 
     def __init__(self, ring: TokenRing, strategy: ReplicationStrategy) -> None:
         strategy.check_ring(ring)
         self.ring = ring
         self.strategy = strategy
+        #: Replica tuple of each range, indexed like ``ring.tokens``.
+        self.table: Tuple[Tuple[NodeAddress, ...], ...] = tuple(strategy.table(ring))
         self._token = ring.partitioner.token
         self._ends = ring.tokens
-        self._by_range: List[Optional[Tuple[NodeAddress, ...]]] = [None] * len(self._ends)
 
     def replicas_for(self, key: str) -> Tuple[NodeAddress, ...]:
         """Replica set of ``key``; the first element is the primary replica."""
@@ -282,8 +375,4 @@ class Placement:
         index = bisect.bisect_left(ends, self._token(key) % Partitioner.TOKEN_SPACE)
         if index == len(ends):
             index = 0  # past the last token: the range wrapping through zero
-        replicas = self._by_range[index]
-        if replicas is None:
-            replicas = tuple(self.strategy.replicas(self.ring, key))
-            self._by_range[index] = replicas
-        return replicas
+        return self.table[index]

@@ -112,9 +112,9 @@ class TokenRing:
                     token = (token + 1) % Partitioner.TOKEN_SPACE
                 self._token_map[token] = node
         self._sorted_tokens: List[int] = sorted(self._token_map)
-        # Walk acceleration: the owner of sorted token i as an *index* into
-        # self._nodes, so the clockwise walk deduplicates physical nodes with
-        # a bytearray instead of hashing NodeAddress objects per vnode.
+        # The owner of sorted token i as an *index* into self._nodes: the
+        # clockwise walk deduplicates physical nodes with a bytearray, and
+        # replication strategies sweep it to build their per-range tables.
         self._owner_index: List[int] = [
             node_index[self._token_map[token]] for token in self._sorted_tokens
         ]
@@ -131,6 +131,11 @@ class TokenRing:
         return list(self._sorted_tokens)
 
     @property
+    def owner_indices(self) -> List[int]:
+        """Owner of each sorted token as an index into :attr:`nodes` (a copy)."""
+        return list(self._owner_index)
+
+    @property
     def size(self) -> int:
         return len(self._nodes)
 
@@ -142,42 +147,29 @@ class TokenRing:
         """The node owning the key's token (first clockwise from the token)."""
         return self.walk_from_token(self.token_of(key))[0]
 
-    def walk_from_token(self, token: int, limit: Optional[int] = None) -> List[NodeAddress]:
+    def walk_from_token(self, token: int) -> List[NodeAddress]:
         """Distinct physical nodes in clockwise order starting at ``token``.
 
-        The walk visits every physical node at most once; replication
-        strategies consume a prefix of it.  ``limit`` bounds the walk: once
-        that many distinct nodes have been collected the walk stops early,
-        which spares topology-agnostic strategies (``SimpleStrategy`` needs
-        only the first RF nodes) a full O(nodes x vnodes) ring scan.
+        The walk visits every physical node once; a replication strategy's
+        ``replicas_for_walk`` consumes a prefix of it.
         """
         tokens = self._sorted_tokens
         owners = self._owner_index
         nodes = self._nodes
-        n_phys = len(nodes)
-        target = n_phys if limit is None else min(int(limit), n_phys)
         start = bisect.bisect_left(tokens, token % Partitioner.TOKEN_SPACE)
-        count = len(tokens)
-        seen = bytearray(n_phys)
+        seen = bytearray(len(nodes))
         ordered: List[NodeAddress] = []
-        append = ordered.append
-        found = 0
-        for offset in range(count):
-            position = start + offset
-            if position >= count:
-                position -= count
-            index = owners[position]
+        for index in owners[start:] + owners[:start]:
             if not seen[index]:
                 seen[index] = 1
-                append(nodes[index])
-                found += 1
-                if found == target:
+                ordered.append(nodes[index])
+                if len(ordered) == len(nodes):
                     break
         return ordered
 
-    def walk_from_key(self, key: str, limit: Optional[int] = None) -> List[NodeAddress]:
+    def walk_from_key(self, key: str) -> List[NodeAddress]:
         """Clockwise node walk starting at the key's token."""
-        return self.walk_from_token(self.token_of(key), limit=limit)
+        return self.walk_from_token(self.token_of(key))
 
     def ownership(self, sample_keys: Sequence[str]) -> Dict[NodeAddress, int]:
         """Count how many of ``sample_keys`` each node primarily owns.

@@ -88,7 +88,7 @@ class TestPlacement:
     FACTORS = {"dc1": 3, "dc2": 2, "dc3": 2}
 
     def replicas(self, topology, ring, key):
-        return NetworkTopologyStrategy(self.FACTORS, topology).replicas(ring, key)
+        return Placement(ring, NetworkTopologyStrategy(self.FACTORS, topology)).replicas_for(key)
 
     @given(key=st.text(min_size=1, max_size=24))
     @settings(max_examples=60, deadline=None)
@@ -128,16 +128,17 @@ class TestPlacement:
     def test_replicas_preserve_walk_order(self, three_site_topology, ring):
         strategy = NetworkTopologyStrategy(self.FACTORS, three_site_topology)
         walk = ring.walk_from_key("somekey")
-        replicas = strategy.replicas(ring, "somekey")
+        replicas = Placement(ring, strategy).replicas_for("somekey")
         positions = [walk.index(r) for r in replicas]
         assert positions == sorted(positions)
 
     def test_placement_is_deterministic(self, three_site_topology, ring):
         strategy = NetworkTopologyStrategy(self.FACTORS, three_site_topology)
-        assert strategy.replicas(ring, "k") == strategy.replicas(ring, "k")
+        first = Placement(ring, strategy).replicas_for("k")
+        assert Placement(ring, strategy).replicas_for("k") == first
 
     def test_single_dc_factor_ignores_other_sites(self, three_site_topology, ring):
         strategy = NetworkTopologyStrategy({"dc2": 3}, three_site_topology)
-        replicas = strategy.replicas(ring, "abc")
+        replicas = Placement(ring, strategy).replicas_for("abc")
         assert len(replicas) == 3
         assert {three_site_topology.datacenter_of(r) for r in replicas} == {"dc2"}

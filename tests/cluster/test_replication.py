@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.replication import OldNetworkTopologyStrategy, SimpleStrategy
+from repro.cluster.replication import OldNetworkTopologyStrategy, Placement, SimpleStrategy
 from repro.cluster.ring import TokenRing
 from repro.network.topology import TopologyBuilder
 
@@ -34,22 +34,22 @@ def ring(topology):
 
 class TestSimpleStrategy:
     def test_replica_count_matches_rf(self, ring):
-        strategy = SimpleStrategy(3)
+        placement = Placement(ring, SimpleStrategy(3))
         for i in range(50):
-            replicas = strategy.replicas(ring, f"user{i}")
+            replicas = placement.replicas_for(f"user{i}")
             assert len(replicas) == 3
             assert len(set(replicas)) == 3
 
     def test_first_replica_is_the_ring_owner(self, ring):
-        strategy = SimpleStrategy(3)
+        placement = Placement(ring, SimpleStrategy(3))
         for i in range(20):
             key = f"user{i}"
-            assert strategy.replicas(ring, key)[0] == ring.primary_replica(key)
+            assert placement.replicas_for(key)[0] == ring.primary_replica(key)
 
     def test_rf_larger_than_cluster_rejected(self, ring):
         strategy = SimpleStrategy(100)
         with pytest.raises(ValueError):
-            strategy.replicas(ring, "user1")
+            Placement(ring, strategy)
 
     def test_invalid_rf_rejected(self):
         with pytest.raises(ValueError):
@@ -57,28 +57,29 @@ class TestSimpleStrategy:
 
     def test_placement_is_deterministic(self, ring):
         strategy = SimpleStrategy(4)
-        assert strategy.replicas(ring, "user7") == strategy.replicas(ring, "user7")
+        first = Placement(ring, strategy).replicas_for("user7")
+        assert Placement(ring, strategy).replicas_for("user7") == first
 
 
 class TestOldNetworkTopologyStrategy:
     def test_replica_count_matches_rf(self, ring, topology):
-        strategy = OldNetworkTopologyStrategy(5, topology)
+        placement = Placement(ring, OldNetworkTopologyStrategy(5, topology))
         for i in range(50):
-            replicas = strategy.replicas(ring, f"user{i}")
+            replicas = placement.replicas_for(f"user{i}")
             assert len(replicas) == 5
             assert len(set(replicas)) == 5
 
     def test_spans_both_datacenters_when_rf_allows(self, ring, topology):
-        strategy = OldNetworkTopologyStrategy(3, topology)
+        placement = Placement(ring, OldNetworkTopologyStrategy(3, topology))
         for i in range(50):
-            replicas = strategy.replicas(ring, f"user{i}")
+            replicas = placement.replicas_for(f"user{i}")
             dcs = {topology.datacenter_of(r) for r in replicas}
             assert dcs == {"dc1", "dc2"}
 
     def test_spans_multiple_racks_of_primary_dc(self, ring, topology):
-        strategy = OldNetworkTopologyStrategy(3, topology)
+        placement = Placement(ring, OldNetworkTopologyStrategy(3, topology))
         for i in range(50):
-            replicas = strategy.replicas(ring, f"user{i}")
+            replicas = placement.replicas_for(f"user{i}")
             primary_dc = topology.datacenter_of(replicas[0])
             racks_in_primary = {
                 topology.rack_of(r) for r in replicas if topology.datacenter_of(r) == primary_dc
@@ -86,10 +87,10 @@ class TestOldNetworkTopologyStrategy:
             assert len(racks_in_primary) >= 2
 
     def test_rf_one_is_just_the_primary(self, ring, topology):
-        strategy = OldNetworkTopologyStrategy(1, topology)
+        placement = Placement(ring, OldNetworkTopologyStrategy(1, topology))
         for i in range(10):
             key = f"user{i}"
-            assert strategy.replicas(ring, key) == [ring.primary_replica(key)]
+            assert placement.replicas_for(key) == (ring.primary_replica(key),)
 
     def test_single_datacenter_degrades_to_rack_awareness(self):
         topo = (
@@ -100,15 +101,15 @@ class TestOldNetworkTopologyStrategy:
             .build()
         )
         ring = TokenRing(topo.nodes, vnodes=8)
-        strategy = OldNetworkTopologyStrategy(3, topo)
+        placement = Placement(ring, OldNetworkTopologyStrategy(3, topo))
         for i in range(30):
-            replicas = strategy.replicas(ring, f"user{i}")
+            replicas = placement.replicas_for(f"user{i}")
             racks = {topo.rack_of(r) for r in replicas}
             assert len(replicas) == 3
             assert len(racks) == 2  # both racks represented
 
     def test_primary_is_ring_owner(self, ring, topology):
-        strategy = OldNetworkTopologyStrategy(5, topology)
+        placement = Placement(ring, OldNetworkTopologyStrategy(5, topology))
         for i in range(20):
             key = f"user{i}"
-            assert strategy.replicas(ring, key)[0] == ring.primary_replica(key)
+            assert placement.replicas_for(key)[0] == ring.primary_replica(key)

@@ -10,11 +10,21 @@ benchmark would notice.
 
 Recorded at the time of the overhaul (seed 11, 120 records, 600 ops,
 20 threads): ~14.1 events/op and ~8.74 messages/op in the run phase.
+
+Placement is pinned the same way: building and loading a ``SCALE_1000``
+cluster walks the ring zero times, because each ring epoch's replica table
+is built in one sweep instead of one ring walk per range.
 """
 
 from __future__ import annotations
 
 from repro.cluster.cluster import SimulatedCluster
+from repro.cluster.replication import (
+    NetworkTopologyStrategy,
+    OldNetworkTopologyStrategy,
+    SimpleStrategy,
+)
+from repro.cluster.ring import TokenRing
 from repro.core.policy import StaticQuorumPolicy
 from repro.experiments.scenarios import SCALE_100, SCALE_1000
 from repro.workload.executor import WorkloadExecutor
@@ -73,3 +83,26 @@ class TestOperationBudget:
         )
         assert events_per_op <= MAX_EVENTS_PER_OP
         assert messages_per_op <= MAX_MESSAGES_PER_OP
+
+
+def count_calls(monkeypatch, cls, name, counts):
+    method = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+class TestPlacementBudget:
+    def test_scale_1000_build_and_load_never_walk_the_ring(self, monkeypatch):
+        counts = {"walk_from_token": 0, "replicas_for_walk": 0}
+        count_calls(monkeypatch, TokenRing, "walk_from_token", counts)
+        for cls in (SimpleStrategy, OldNetworkTopologyStrategy, NetworkTopologyStrategy):
+            count_calls(monkeypatch, cls, "replicas_for_walk", counts)
+        cluster = SimulatedCluster(SCALE_1000.cluster_config(seed=11))
+        workload = WORKLOAD_A.scaled(record_count=200, operation_count=0)
+        WorkloadExecutor(cluster, workload, StaticQuorumPolicy(), threads=10).load()
+        assert counts == {"walk_from_token": 0, "replicas_for_walk": 0}
+        assert len(cluster.placement.table) == len(cluster.ring.tokens)

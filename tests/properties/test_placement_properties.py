@@ -1,11 +1,17 @@
-"""Property tests: a per-range :class:`Placement` answers exactly like the
-per-key ring walk of its strategy, on every ring a join or a leave makes."""
+"""Property tests: a :class:`Placement`'s table answers exactly like the
+ring walk of its strategy (``replicas_for_walk``, the readable
+specification), for every range of every ring a join or a leave makes, and
+for the production ring of every registered scenario."""
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.replication import (
     NetworkTopologyStrategy,
     OldNetworkTopologyStrategy,
@@ -13,11 +19,20 @@ from repro.cluster.replication import (
     SimpleStrategy,
 )
 from repro.cluster.ring import Murmur3Partitioner, RandomPartitioner, TokenRing
+from repro.experiments.scenarios import SCALE_1000, ScenarioRegistry
 from repro.network.topology import uniform_topology
 
 keys = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=32
 )
+
+#: Ranges of the SCALE_1000 ring checked against the walk (of 8000).
+SCALE_1000_SAMPLE = 200
+
+
+def spec_replicas(strategy, ring, token):
+    """Replica tuple of the range ending at ``token``, by the specification."""
+    return tuple(strategy.replicas_for_walk(ring.walk_from_token(token)))
 
 
 def build_strategy(kind, rf, topology, members):
@@ -34,18 +49,26 @@ def build_strategy(kind, rf, topology, members):
     return NetworkTopologyStrategy(factors, topology)
 
 
-def assert_matches_the_walk(placement, strategy, ring, sample):
+def assert_table_matches_the_walk(placement, strategy, ring, indices=None):
+    tokens = ring.tokens
+    assert len(placement.table) == len(tokens)
+    for index in range(len(tokens)) if indices is None else indices:
+        assert placement.table[index] == spec_replicas(strategy, ring, tokens[index])
+
+
+def assert_keys_find_their_range(placement, strategy, ring, sample):
     for key in sample:
         replicas = placement.replicas_for(key)
-        assert replicas == tuple(strategy.replicas(ring, key))
-        assert placement.replicas_for(key) is replicas  # resolved once per range
+        assert replicas == spec_replicas(strategy, ring, ring.token_of(key))
+        assert placement.replicas_for(key) is replicas  # one shared tuple per range
 
 
 @given(
     sample=st.lists(keys, min_size=1, max_size=24),
     n_nodes=st.integers(min_value=4, max_value=14),
     datacenters=st.integers(min_value=1, max_value=3),
-    vnodes=st.integers(min_value=1, max_value=8),
+    racks_per_dc=st.integers(min_value=1, max_value=4),
+    vnodes=st.integers(min_value=1, max_value=16),
     rf=st.integers(min_value=1, max_value=3),
     kind=st.sampled_from(["simple", "old_network_topology", "network_topology"]),
     partitioner=st.sampled_from([Murmur3Partitioner(), RandomPartitioner()]),
@@ -53,9 +76,9 @@ def assert_matches_the_walk(placement, strategy, ring, sample):
 )
 @settings(max_examples=150, deadline=None)
 def test_placement_matches_strategy_before_and_after_join_and_leave(
-    sample, n_nodes, datacenters, vnodes, rf, kind, partitioner, data
+    sample, n_nodes, datacenters, racks_per_dc, vnodes, rf, kind, partitioner, data
 ):
-    topology = uniform_topology(n_nodes, racks_per_dc=2, datacenters=datacenters)
+    topology = uniform_topology(n_nodes, racks_per_dc=racks_per_dc, datacenters=datacenters)
     spare = topology.nodes[-1]
     members = topology.nodes[:-1]
     rf = min(rf, len(members) - 1)
@@ -63,4 +86,17 @@ def test_placement_matches_strategy_before_and_after_join_and_leave(
     leaving = data.draw(st.sampled_from(members), label="leaving")
     for ring_members in (members, members + [spare], [m for m in members if m != leaving]):
         ring = TokenRing(ring_members, partitioner=partitioner, vnodes=vnodes)
-        assert_matches_the_walk(Placement(ring, strategy), strategy, ring, sample)
+        placement = Placement(ring, strategy)
+        assert_table_matches_the_walk(placement, strategy, ring)
+        assert_keys_find_their_range(placement, strategy, ring, sample)
+
+
+@pytest.mark.parametrize("name", ScenarioRegistry.names())
+def test_production_ring_of_every_scenario_matches_the_walk(name):
+    scenario = ScenarioRegistry.get(name)
+    placement = SimulatedCluster(scenario.cluster_config(seed=1)).placement
+    ring = placement.ring
+    indices = None
+    if scenario is SCALE_1000:
+        indices = random.Random(1).sample(range(len(ring.tokens)), SCALE_1000_SAMPLE)
+    assert_table_matches_the_walk(placement, placement.strategy, ring, indices)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.replication import OldNetworkTopologyStrategy, SimpleStrategy
+from repro.cluster.replication import OldNetworkTopologyStrategy, Placement, SimpleStrategy
 from repro.cluster.ring import Murmur3Partitioner, RandomPartitioner, TokenRing
 from repro.network.topology import uniform_topology
 
@@ -49,7 +49,7 @@ def test_simple_strategy_places_rf_distinct_replicas(key, n_nodes, rf):
         rf = n_nodes
     topo = uniform_topology(n_nodes, racks_per_dc=2, datacenters=1)
     ring = TokenRing(topo.nodes, vnodes=4)
-    replicas = SimpleStrategy(rf).replicas(ring, key)
+    replicas = Placement(ring, SimpleStrategy(rf)).replicas_for(key)
     assert len(replicas) == rf
     assert len(set(replicas)) == rf
     assert replicas[0] == ring.primary_replica(key)
@@ -66,7 +66,7 @@ def test_topology_strategy_spans_datacenters_and_racks(key, n_nodes, rf):
         rf = n_nodes
     topo = uniform_topology(n_nodes, racks_per_dc=2, datacenters=2)
     ring = TokenRing(topo.nodes, vnodes=4)
-    replicas = OldNetworkTopologyStrategy(rf, topo).replicas(ring, key)
+    replicas = Placement(ring, OldNetworkTopologyStrategy(rf, topo)).replicas_for(key)
     assert len(set(replicas)) == rf
     if rf >= 2 and len({topo.datacenter_of(n) for n in topo.nodes}) >= 2:
         # With at least two replicas and two datacenters, the placement uses
