@@ -15,16 +15,21 @@ module provides:
 * ``write_benchmark_json`` -- the one way benches persist ``BENCH_*.json``
   result files: it refuses placeholder values, so a half-finished benchmark
   can never masquerade as a recorded result again (a ``PLACEHOLDER``
-  baseline label once survived a whole PR in ``BENCH_fabric.json``).
+  baseline label once survived a whole PR in ``BENCH_fabric.json``), and it
+  stamps every file with the ``provenance`` of the machine and commit that
+  produced the numbers.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
-from typing import Callable, Dict
+import platform
+import subprocess
+from typing import Callable, Dict, List, Optional
+
+import numpy
 
 from repro.experiments.figures import FigureDefaults
 from repro.metrics.report import MetricsReport
@@ -92,40 +97,16 @@ class RepetitionMismatchError(ValueError):
     """A benchmark's ``repetitions`` field disagrees with its per-rep lists."""
 
 
-def trace_signature(trace_sha256: object) -> str:
-    """Collapse a run's trace hash into one scalar signature.
-
-    Single-engine runs record one ``trace_sha256`` string; sharded runs
-    record one hash *per shard* (the shard is the unit of reproducibility).
-    Comparisons and merged reports want a single scalar either way, so a
-    list is folded order-sensitively: the merged signature is the SHA-256
-    of the newline-joined per-shard hashes.  A one-element list therefore
-    deliberately differs from its bare scalar -- the shapes mean different
-    things (a sharded run of one shard is not the unsharded run).
-    """
-    if isinstance(trace_sha256, str):
-        return trace_sha256
-    if isinstance(trace_sha256, (list, tuple)):
-        if not trace_sha256 or not all(isinstance(item, str) for item in trace_sha256):
-            raise TypeError(
-                f"per-shard trace hashes must be a non-empty list of strings, "
-                f"got {trace_sha256!r}"
-            )
-        return hashlib.sha256("\n".join(trace_sha256).encode("utf-8")).hexdigest()
-    raise TypeError(f"trace_sha256 must be a string or list of strings, got {trace_sha256!r}")
-
-
 def assert_repetitions_consistent(report: Dict[str, object], path: str = "$") -> None:
     """Check that ``repetitions`` matches the length of every ``*all_reps*`` list.
 
     ``BENCH_fabric.json`` once claimed ``"repetitions": 3`` while recording
     four entries in ``optimized_all_reps_ops_per_wall_s`` -- metadata that
     lies about its own sample count poisons every later comparison.  The
-    check recurses into nested dicts *and* lists of dicts (parallel reports
-    carry per-run sections inside lists).  Plain value lists that are not
-    ``*all_reps*`` samples -- e.g. a sharded run's per-shard ``trace_sha256``
-    list, whose length is the shard count, not the repetition count -- are
-    left alone.
+    check recurses into nested dicts *and* lists of dicts, so a per-run
+    section kept inside a list is checked too.  Plain value lists that are
+    not ``*all_reps*`` samples (e.g. a list of scenario names) are left
+    alone.
     """
     if not isinstance(report, dict):
         return
@@ -149,8 +130,49 @@ def assert_repetitions_consistent(report: Dict[str, object], path: str = "$") ->
                 )
 
 
+def _git(args: List[str]) -> Optional[str]:
+    """Output of one git command run in the repository, or ``None`` when git
+    is missing or the checkout is not a git work tree (e.g. an exported
+    archive)."""
+    try:
+        completed = subprocess.run(
+            ["git", *args],
+            cwd=os.path.dirname(RESULTS_DIR),
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return completed.stdout.strip()
+
+
+def provenance() -> Dict[str, object]:
+    """Where a benchmark number came from: cores, platform, interpreter,
+    numpy and the git commit (``dirty`` when tracked files differ from it).
+
+    Git fields are ``None`` when git cannot answer, never a made-up value.
+    """
+    sha = _git(["rev-parse", "HEAD"])
+    status = _git(["status", "--porcelain", "--untracked-files=no"]) if sha else None
+    return {
+        "nproc": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "git_sha": sha,
+        "git_dirty": None if status is None else bool(status),
+    }
+
+
 def write_benchmark_json(path: str, report: Dict[str, object]) -> None:
-    """Validate and persist one ``BENCH_*.json`` result file."""
+    """Validate and persist one ``BENCH_*.json`` result file.
+
+    Adds (or refreshes) the report's ``provenance`` block in place, so the
+    caller's copy and the file carry the same record.
+    """
+    report["provenance"] = provenance()
     assert_no_placeholders(report)
     assert_repetitions_consistent(report)
     with open(path, "w", encoding="utf-8") as handle:

@@ -22,18 +22,10 @@ Determinism is asserted on every run: the optimized configuration is run
 twice with the same seed and the two metric summaries (plus engine/fabric
 trace counters) must be byte-identical.
 
-With ``--workers N`` the bench instead measures the **sharded
-conservative-PDES engine** (:mod:`repro.sim.parallel`): it compares the
-single-process runtime, the sharded engine on one worker, and the sharded
-engine on ``N`` forked workers, asserts the two sharded runs are
-byte-identical (per-shard trace hashes and merged summary), and reports the
-aggregate run-phase throughput ``ops / bottleneck-worker CPU seconds``.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_fabric.py [--quick] [--out PATH]
-    PYTHONPATH=src python benchmarks/bench_fabric.py --scenario scale_1000 \
-        --workers 40 --update-section parallel_scale_1000
+    PYTHONPATH=src python benchmarks/bench_fabric.py --scenario scale_1000
 """
 
 from __future__ import annotations
@@ -50,7 +42,6 @@ from typing import Dict, Optional
 from repro.cluster.cluster import SimulatedCluster
 from repro.core.policy import StaticQuorumPolicy
 from repro.experiments.scenarios import SCALE_100, ScenarioRegistry
-from repro.sim.parallel import run_parallel_experiment
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WORKLOAD_A
 
@@ -58,7 +49,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO_ROOT not in sys.path:  # direct `python benchmarks/bench_fabric.py` runs
     sys.path.insert(0, REPO_ROOT)
 
-from benchmarks._shared import trace_signature, write_benchmark_json  # noqa: E402
+from benchmarks._shared import write_benchmark_json  # noqa: E402
 
 #: Pre-refactor baseline, measured at commit f02a3cf (PR 1, before the
 #: runtime hot-path refactor) on this same benchmark configuration
@@ -76,22 +67,6 @@ PRE_REFACTOR_BASELINE = {
 
 FULL_CONFIG = {"record_count": 1000, "operation_count": 8000, "threads": 50, "seed": 20260730}
 QUICK_CONFIG = {"record_count": 300, "operation_count": 2000, "threads": 50, "seed": 20260730}
-
-#: Tuned sharded-engine configurations for full (non-smoke) parallel runs.
-#: SCALE_1000 shards node-granularly at 40 shards (the Grid'5000-like
-#: latency model clamps the intra-rack floor to the inter-rack floor, so
-#: splitting the 10 racks costs no lookahead) and needs enough closed-loop
-#: clients and keys per shard to amortise the per-window IPC round trip.
-PARALLEL_TUNED = {
-    "scale_1000": {
-        "record_count": 8000,
-        "operation_count": 24000,
-        "threads": 9600,
-        "seed": 20260730,
-        "shards": 40,
-    },
-}
-DEFAULT_PARALLEL_SHARDS = 4
 
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_fabric.json")
 
@@ -165,140 +140,6 @@ def _best_of(runs):
     return max(runs, key=lambda r: r["ops_per_wall_s"])
 
 
-def run_parallel_workload(
-    *,
-    record_count: int,
-    operation_count: int,
-    threads: int,
-    seed: int,
-    scenario,
-    shards: int,
-    workers: int,
-    granularity: str = "auto",
-) -> Dict[str, object]:
-    """One sharded run; returns throughput figures plus per-shard hashes.
-
-    ``aggregate_ops_per_busy_s`` divides total ops by the bottleneck
-    worker's run-phase CPU seconds -- with one core per worker that is the
-    run-phase wall-clock throughput, and using CPU time keeps the figure
-    honest on oversubscribed CI hosts where workers preempt each other.
-    ``parent_run_cpu_s`` is recorded alongside: the controller's routing
-    cost must stay in the same ballpark for the aggregate to be realisable.
-    """
-    workload = WORKLOAD_A.scaled(record_count=record_count, operation_count=operation_count)
-    result = run_parallel_experiment(
-        scenario.name,
-        workload,
-        "quorum",
-        threads,
-        seed=seed,
-        shards=shards,
-        workers=workers,
-        granularity=granularity,
-    )
-    per_shard_hashes = list(result.trace_sha256)
-    return {
-        "workers": result.workers,
-        "shards": result.shards,
-        "ops": int(result.metrics.counters.total),
-        "aggregate_ops_per_busy_s": round(result.aggregate_ops_per_busy_s, 1),
-        "run_busy_bottleneck_s": round(max(result.run_busy_seconds), 4),
-        "run_busy_seconds": [round(b, 4) for b in result.run_busy_seconds],
-        "parent_run_cpu_s": round(result.parent_run_cpu_s, 3),
-        "elapsed_wall_s": round(result.elapsed_s, 2),
-        "rounds": result.rounds,
-        "cross_shard_messages": result.cross_messages,
-        "lookahead_s": result.lookahead,
-        "lookahead_class": result.lookahead_class,
-        "trace_sha256": per_shard_hashes,
-        "merged_trace_sha256": trace_signature(per_shard_hashes),
-        "summary": result.summary(),
-    }
-
-
-def run_parallel_bench(
-    *,
-    quick: bool,
-    scenario_name: str,
-    workers: int,
-    shards: Optional[int] = None,
-    granularity: str = "auto",
-) -> Dict[str, object]:
-    """Compare single-process, ``workers=1`` and ``workers=N`` on one ring.
-
-    All three run the same record/operation/thread counts and seed.  The
-    two sharded runs execute the *identical* simulation (the shard count
-    fixes the schedule; workers only map shards onto processes), so their
-    merged summaries and per-shard trace hashes must be byte-identical --
-    that equivalence is the report's ``deterministic`` field.
-    """
-    scenario = ScenarioRegistry.get(scenario_name)
-    tuned = None if quick else PARALLEL_TUNED.get(scenario.name)
-    if tuned is not None:
-        cfg = {k: tuned[k] for k in ("record_count", "operation_count", "threads", "seed")}
-        default_shards = tuned["shards"]
-    else:
-        cfg = dict(QUICK_CONFIG if quick else FULL_CONFIG)
-        default_shards = DEFAULT_PARALLEL_SHARDS
-    shards = shards if shards is not None else default_shards
-
-    single = run_workload(**cfg, scenario=scenario)
-    workers_1 = run_parallel_workload(
-        **cfg, scenario=scenario, shards=shards, workers=1, granularity=granularity
-    )
-    # Best-of repetitions for the bottleneck-worker figure (full runs only):
-    # the simulated work is deterministic, so repetitions only differ in OS
-    # interference on the busiest worker -- the best repetition is the
-    # cleanest measurement, exactly as in the single-engine bench above.
-    n_reps = 1 if (quick or workers == 1) else 2
-    workers_n_runs = (
-        [workers_1]
-        if workers == 1
-        else [
-            run_parallel_workload(
-                **cfg, scenario=scenario, shards=shards, workers=workers, granularity=granularity
-            )
-            for _ in range(n_reps)
-        ]
-    )
-    workers_n = min(workers_n_runs, key=lambda r: r["run_busy_bottleneck_s"])
-    reference = json.dumps(workers_1["summary"], sort_keys=True, default=str)
-    deterministic = all(
-        run["trace_sha256"] == workers_1["trace_sha256"]
-        and json.dumps(run["summary"], sort_keys=True, default=str) == reference
-        for run in workers_n_runs
-    )
-
-    return {
-        "benchmark": "bench_fabric_parallel",
-        "scenario": scenario.name,
-        "quick": quick,
-        "repetitions": n_reps,
-        "workers_n_all_reps_aggregate_ops_per_busy_s": [
-            r["aggregate_ops_per_busy_s"] for r in workers_n_runs
-        ],
-        "config": {
-            **cfg,
-            "shards": shards,
-            "workers": workers,
-            "granularity": granularity,
-            "policy": "quorum",
-        },
-        "lookahead_s": workers_n["lookahead_s"],
-        "lookahead_class": workers_n["lookahead_class"],
-        "single_process": single,
-        "workers_1": workers_1,
-        "workers_n": workers_n,
-        "deterministic": deterministic,
-        "speedup_aggregate_vs_workers_1": round(
-            workers_n["aggregate_ops_per_busy_s"] / workers_1["aggregate_ops_per_busy_s"], 3
-        ),
-        "speedup_vs_single_process": round(
-            workers_n["aggregate_ops_per_busy_s"] / single["ops_per_wall_s"], 3
-        ),
-    }
-
-
 def run_bench(
     quick: bool = False, repeat: int = 3, scenario_name: str = SCALE_100.name
 ) -> Dict[str, object]:
@@ -369,54 +210,13 @@ def main(argv=None) -> int:
         help="scenario ring to drive (scale_100, scale_1000, ...); the "
         "recorded pre-refactor baseline only applies to scale_100",
     )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="run the *sharded* engine benchmark instead: compare "
-        "single-process vs workers=1 vs workers=N on the scenario ring "
-        "(the two sharded runs must be byte-identical)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="shard count for --workers mode (default: the tuned per-"
-        "scenario count, else 4); fixes the event schedule independently "
-        "of the worker count",
-    )
-    parser.add_argument(
-        "--granularity", default="auto", choices=("auto", "rack", "node"),
-        help="shard-planner granularity for --workers mode (default auto)",
-    )
-    parser.add_argument(
-        "--update-section", default=None, metavar="KEY",
-        help="merge the report under KEY in an existing --out JSON instead "
-        "of replacing the file (used to record the parallel section next "
-        "to the classic scale_100 report in BENCH_fabric.json)",
-    )
     args = parser.parse_args(argv)
 
-    if args.workers is not None:
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
-        report = run_parallel_bench(
-            quick=args.quick,
-            scenario_name=args.scenario,
-            workers=args.workers,
-            shards=args.shards,
-            granularity=args.granularity,
-        )
-    else:
-        repeat = args.repeat if args.repeat is not None else (1 if args.quick else 3)
-        report = run_bench(quick=args.quick, repeat=repeat, scenario_name=args.scenario)
+    repeat = args.repeat if args.repeat is not None else (1 if args.quick else 3)
+    report = run_bench(quick=args.quick, repeat=repeat, scenario_name=args.scenario)
     # write_benchmark_json refuses placeholder values -- a PLACEHOLDER
     # baseline label must never reach a recorded result file again.
-    if args.update_section:
-        merged: Dict[str, object] = {}
-        if os.path.exists(args.out):
-            with open(args.out, "r", encoding="utf-8") as handle:
-                merged = json.load(handle)
-        merged[args.update_section] = report
-        write_benchmark_json(args.out, merged)
-    else:
-        write_benchmark_json(args.out, report)
+    write_benchmark_json(args.out, report)
 
     print(json.dumps(report, indent=2, default=str))
     if not report["deterministic"]:

@@ -24,8 +24,8 @@ One run is a fixed phase sequence (all in virtual time):
 Trace identity
 --------------
 Every report carries two phase hashes -- the client-run summary and the
-final cluster state -- folded into one :meth:`ChaosReport.signature` via
-``trace_signature`` from ``benchmarks/_shared.py``.  The shrinker re-runs
+final cluster state -- folded into one :meth:`ChaosReport.signature` (the
+SHA-256 of the newline-joined phase hashes).  The shrinker re-runs
 a schedule and compares signatures before trusting any verdict, so
 nondeterminism is *detected*, never silently shrunk around.
 """
@@ -47,22 +47,6 @@ from repro.faults.schedule import FaultInjector, FaultSchedule
 from repro.faults.timeline import FaultTimeline
 from repro.workload.executor import WorkloadExecutor
 from repro.workload.workloads import WorkloadConfig
-
-try:  # pragma: no cover - exercised implicitly by whichever path imports
-    from benchmarks._shared import trace_signature
-except ImportError:  # pragma: no cover - benchmarks/ not importable (installed pkg)
-
-    def trace_signature(trace_sha256):
-        if isinstance(trace_sha256, str):
-            return trace_sha256
-        if (
-            isinstance(trace_sha256, (list, tuple))
-            and trace_sha256
-            and all(isinstance(item, str) for item in trace_sha256)
-        ):
-            return hashlib.sha256("\n".join(trace_sha256).encode("utf-8")).hexdigest()
-        raise TypeError(f"expected hash or list of hashes, got {trace_sha256!r}")
-
 
 __all__ = ["ChaosConfig", "ChaosReport", "run_chaos"]
 
@@ -145,7 +129,7 @@ class ChaosReport:
 
     def signature(self) -> str:
         """Single trace-identity hash for determinism comparison."""
-        return trace_signature(list(self.trace_hashes))
+        return hashlib.sha256("\n".join(self.trace_hashes).encode("utf-8")).hexdigest()
 
 
 def _pick_policy(config: ChaosConfig, scenario: Scenario, multi_dc: bool):

@@ -18,6 +18,7 @@ evaluation need:
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -73,7 +74,7 @@ def resolve_topology(config: "ClusterConfig") -> Topology:
 
     Either ``config.topology`` itself or the default uniform topology derived
     from the shape fields.  Exposed as a module function so planners (the
-    sharded engine's partitioner) can reason about the layout without paying
+    chaos schedule generator) can reason about the layout without paying
     for node/coordinator construction.
     """
     if config.topology is not None:
@@ -116,6 +117,12 @@ def resolve_spares(config: "ClusterConfig", topology: Topology) -> Tuple[NodeAdd
             )
         spares.extend(in_dc[-config.spares_per_dc :])
     return tuple(spares)
+
+
+def _require_int(name: str, value: object) -> None:
+    """Reject a shape value that is not a whole number (``bool`` included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -194,9 +201,19 @@ class ClusterConfig:
     bandwidth: Optional["BandwidthConfig"] = None
 
     def __post_init__(self) -> None:
+        # A fractional or boolean shape value would otherwise build a silently
+        # different cluster (RF 2.5 places 2 replicas while ALL still counts
+        # on the configured factor).
+        for name in (
+            "n_nodes", "replication_factor", "vnodes", "racks_per_dc",
+            "datacenters", "spares_per_dc",
+        ):
+            _require_int(name, getattr(self, name))
         if self.replication_factors is not None:
             if not self.replication_factors:
                 raise ValueError("replication_factors must not be empty")
+            for dc, rf in self.replication_factors.items():
+                _require_int(f"replication_factors[{dc!r}]", rf)
             if any(rf < 0 for rf in self.replication_factors.values()):
                 raise ValueError("per-DC replication factors must be non-negative")
             self.strategy = "network_topology"
@@ -207,6 +224,11 @@ class ClusterConfig:
             raise ValueError(
                 f"n_nodes ({self.n_nodes}) must be >= replication_factor "
                 f"({self.replication_factor})"
+            )
+        if self.topology is None and self.n_nodes < self.datacenters:
+            raise ValueError(
+                f"n_nodes ({self.n_nodes}) must be >= datacenters "
+                f"({self.datacenters}) so that no datacenter is empty"
             )
         if self.strategy not in ("old_network_topology", "simple", "network_topology"):
             raise ValueError(f"unknown replication strategy {self.strategy!r}")
@@ -264,9 +286,7 @@ class SimulatedCluster:
             a for a in self.topology.nodes if a not in self._spare_set
         ]
         #: Bumped on every ring membership change (bootstrap cutover,
-        #: decommission).  The sharded-PDES runtime checks it between
-        #: windows: a mid-window change is a loud error, never silent
-        #: corruption.
+        #: decommission); anti-entropy keys its Merkle-tree cache on it.
         self.membership_epoch = 0
         self._partitioner = config.partitioner or Murmur3Partitioner()
         self.strategy: ReplicationStrategy

@@ -203,8 +203,6 @@ def run_experiment(
     retry_policy: Optional[object] = None,
     tracer: Optional[object] = None,
     series_interval: Optional[float] = None,
-    workers: int = 1,
-    shards: Optional[int] = None,
 ) -> ExperimentResult:
     """Run one experiment and return its result.
 
@@ -240,45 +238,7 @@ def run_experiment(
         bytes and control decisions every ``series_interval`` virtual
         seconds; returned as ``result.series``.  Unlike the tracer this
         *does* schedule one engine event per tick (it is off by default).
-    workers / shards:
-        Opt into the sharded conservative-PDES engine
-        (:mod:`repro.sim.parallel`): the ring is partitioned into ``shards``
-        rack-granular shards executed across ``workers`` forked processes
-        (``workers=1`` runs the same sharded schedule in-process).  Setting
-        either delegates to :func:`~repro.sim.parallel.run_parallel_experiment`
-        and returns its :class:`~repro.sim.parallel.ParallelExperimentResult`;
-        options the sharded engine does not support (``cluster_hook``,
-        ``datacenters``, ``tracer``, ``series_interval``) are rejected.
     """
-    if workers != 1 or shards is not None:
-        from repro.sim.parallel import DEFAULT_SHARDS, run_parallel_experiment
-
-        unsupported = {
-            "cluster_hook": cluster_hook,
-            "datacenters": datacenters,
-            "tracer": tracer,
-            "series_interval": series_interval,
-        }
-        offending = [name for name, value in unsupported.items() if value is not None]
-        if offending:
-            raise ValueError(
-                f"option(s) {offending} are not supported with workers/shards "
-                "(the sharded engine pins clients per shard and keeps no "
-                "cluster-global observers)"
-            )
-        return run_parallel_experiment(
-            scenario,
-            workload,
-            policy,
-            threads,
-            seed=seed,
-            n_nodes=n_nodes,
-            shards=shards if shards is not None else DEFAULT_SHARDS,
-            workers=workers,
-            monitoring_interval=monitoring_interval,
-            think_time=think_time,
-            retry_policy=retry_policy,
-        )
     if isinstance(policy, str):
         policy_obj = make_policy(policy, scenario, monitoring_interval=monitoring_interval)
     else:

@@ -398,13 +398,6 @@ class NetworkFabric:
         # True iff any grey-failure state is active; keeps the send hot path
         # at one falsy check per message in healthy runs.
         self._grey = False
-        # Sharded-engine seam: when a remote sink is installed, messages to
-        # destinations outside the owned set are handed to the sink (with
-        # their already-sampled absolute delivery time) instead of being
-        # scheduled locally.  None in single-engine runs, so the hot path
-        # pays one falsy check per send.
-        self._remote_sink: Optional[Callable[[float, Message], None]] = None
-        self._owned: Optional[frozenset] = None
         # Optional op-lifecycle tracer (set by Tracer.attach_cluster); when
         # present, transfer start/end events are emitted through it.
         self.tracer = None
@@ -441,47 +434,6 @@ class NetworkFabric:
 
     def is_registered(self, address: NodeAddress) -> bool:
         return address in self._handlers
-
-    # ------------------------------------------------------------------
-    # Sharded-engine seam (conservative PDES)
-    # ------------------------------------------------------------------
-    def set_remote_sink(
-        self,
-        owned: "frozenset[NodeAddress]",
-        sink: Callable[[float, Message], None],
-    ) -> None:
-        """Divert messages leaving the ``owned`` node set to ``sink``.
-
-        The sink receives ``(deliver_at, message)`` where ``deliver_at`` is
-        the absolute virtual delivery time the fabric already sampled -- the
-        sender-side latency draw, fifo clamp and drop check all happen
-        *before* the divert, so a sharded run consumes exactly the same
-        random values in exactly the same order as an unsharded run of the
-        same shard layout.  The owning shard re-injects the message with
-        :meth:`inject_remote`.
-        """
-        self._remote_sink = sink
-        self._owned = frozenset(owned)
-
-    def inject_remote(self, deliver_at: float, message: Message) -> None:
-        """Deliver a message handed over by another shard at ``deliver_at``.
-
-        Scheduling through :meth:`SimulationEngine.at` makes the conservative
-        window a *hard* guarantee: injecting before the local clock reached
-        ``deliver_at`` is fine, but a violation (the clock already past the
-        timestamp) raises instead of silently reordering the past.
-        """
-        self._engine.at(deliver_at, self._deliver_remote, message, label="remote_delivery")
-
-    def _deliver_remote(self, message: Message) -> None:
-        now = self._engine._now
-        message.delivered_at = now
-        stats = self.stats
-        stats.delivered += 1
-        stats.total_latency += now - message.sent_at
-        handler = self._handlers.get(message.dst)
-        if handler is not None:
-            handler(message)
 
     # ------------------------------------------------------------------
     # Latency control (used by sweeps and failure injection)
@@ -550,19 +502,10 @@ class NetworkFabric:
         self, message: Message, on_delivered: Optional[Callable], deliver_at: float
     ) -> None:
         """Delivery seam for completed transfers (called by the scheduler):
-        honours the sharded-engine remote sink, then delivers through one
-        engine event exactly like a fast-path message."""
+        delivers through one engine event exactly like a fast-path message."""
         tracer = self.tracer
         if tracer is not None:
             tracer.transfer_end(message, deliver_at)
-        if self._remote_sink is not None and message.dst not in self._owned:
-            if on_delivered is not None:
-                raise ValueError(
-                    f"on_delivered callbacks cannot cross a shard boundary "
-                    f"({message.src} -> {message.dst})"
-                )
-            self._remote_sink(deliver_at, message)
-            return
         self._engine.at(
             deliver_at, self._deliver, message, on_delivered, label="transfer_delivery"
         )
@@ -1029,13 +972,6 @@ class NetworkFabric:
         if self._per_message_delivery:
             # one_way_delay applies the pair scale itself.
             delay = self.one_way_delay(src, dst, size_bytes=size_bytes)
-            if self._remote_sink is not None and dst not in self._owned:
-                if on_delivered is not None:
-                    raise ValueError(
-                        f"on_delivered callbacks cannot cross a shard boundary ({src} -> {dst})"
-                    )
-                self._remote_sink(now + delay, message)
-                return message
             engine.schedule(
                 delay, self._deliver, message, on_delivered, label=f"deliver:{kind}"
             )
@@ -1101,16 +1037,6 @@ class NetworkFabric:
             if deliver_at < link.last_time:
                 deliver_at = link.last_time
             link.last_time = deliver_at
-        if self._remote_sink is not None and dst not in self._owned:
-            # The latency draw (and fifo clamp) above already happened, so
-            # shard-local RNG state evolves identically whether or not the
-            # destination is remote.
-            if on_delivered is not None:
-                raise ValueError(
-                    f"on_delivered callbacks cannot cross a shard boundary ({src} -> {dst})"
-                )
-            self._remote_sink(deliver_at, message)
-            return message
         in_flight = link.in_flight
         link.in_flight = in_flight + 1
         if in_flight == 0:
@@ -1219,14 +1145,6 @@ class NetworkFabric:
             if deliver_at < link.last_time:
                 deliver_at = link.last_time
             link.last_time = deliver_at
-        if self._remote_sink is not None and message.dst not in self._owned:
-            if on_delivered is not None:
-                raise ValueError(
-                    f"on_delivered callbacks cannot cross a shard boundary "
-                    f"({message.src} -> {message.dst})"
-                )
-            self._remote_sink(deliver_at, message)
-            return
         in_flight = link.in_flight
         link.in_flight = in_flight + 1
         if in_flight == 0:

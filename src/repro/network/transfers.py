@@ -247,7 +247,7 @@ class TransferScheduler:
     deliver:
         ``deliver(message, on_delivered, deliver_at)`` -- invoked when a
         message-borne transfer finishes streaming; the callee (the fabric)
-        owns delivery bookkeeping and the sharded-engine seam.
+        owns delivery bookkeeping.
     severed:
         ``severed(src_dc, dst_dc) -> bool`` -- directional partition query
         used when resuming paused transfers on heal.

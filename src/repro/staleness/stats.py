@@ -81,21 +81,6 @@ class StalenessStats:
         self.stale_age_histogram.record(age)
         self.k_counts[k] = self.k_counts.get(k, 0) + 1
 
-    def merge(self, other: "StalenessStats") -> None:
-        """Fold another scope's aggregates into this one.
-
-        Used by the sharded engine to combine per-shard stats into one
-        cluster-wide view; all aggregates here are order-insensitive except
-        the raw age list, which downstream percentile queries re-sort.
-        """
-        self.judged += other.judged
-        self.stale += other.stale
-        self._stale_ages.extend(other._stale_ages)
-        self._sorted_ages = None
-        self.stale_age_histogram.merge(other.stale_age_histogram)
-        for k, count in other.k_counts.items():
-            self.k_counts[k] = self.k_counts.get(k, 0) + count
-
     # ------------------------------------------------------------------
     # t-visibility
     # ------------------------------------------------------------------

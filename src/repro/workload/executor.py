@@ -246,15 +246,13 @@ class WorkloadExecutor:
     # ------------------------------------------------------------------
     # Load phase
     # ------------------------------------------------------------------
-    def issue_load(self) -> List[OperationResult]:
-        """Issue every initial-load write; completions accumulate later.
+    def load(self) -> int:
+        """Insert the initial ``record_count`` records (not measured).
 
-        Returns the (initially empty) completion list that fills in as the
-        engine delivers write acknowledgements.  Callers must drive the
-        engine themselves -- :meth:`load` settles a self-contained cluster;
-        the sharded engine drains the whole ring through its conservative
-        windows instead (CL ONE acks can come from remote replicas) -- and
-        then hand the list to :meth:`finish_load`.
+        Returns the number of records loaded.  The engine is run after the
+        inserts so all replicas converge before the run phase starts, which
+        matches the paper's setup of loading the dataset before running the
+        measured workloads.
         """
         keys = self.workload.load_keys()
         completed: List[OperationResult] = []
@@ -266,42 +264,22 @@ class WorkloadExecutor:
                 completed.append,
                 size_bytes=self.workload.value_size(),
             )
-        return completed
-
-    def finish_load(self, completed: List[OperationResult]) -> int:
-        """Account the drained load phase; returns the records loaded."""
+        # Drain everything (writes + background propagation) so the run phase
+        # starts from a consistent store.
+        self.cluster.settle()
         if self.auditor is not None:
             for result in completed:
                 self.auditor.observe_write(result)
         self._loaded = True
         return len(completed)
 
-    def load(self) -> int:
-        """Insert the initial ``record_count`` records (not measured).
-
-        Returns the number of records loaded.  The engine is run after the
-        inserts so all replicas converge before the run phase starts, which
-        matches the paper's setup of loading the dataset before running the
-        measured workloads.
-        """
-        completed = self.issue_load()
-        # Drain everything (writes + background propagation) so the run phase
-        # starts from a consistent store.
-        self.cluster.settle()
-        return self.finish_load(completed)
-
     # ------------------------------------------------------------------
     # Run phase
     # ------------------------------------------------------------------
-    def begin_run(
-        self, on_all_finished: Optional[Callable[[], None]] = None
-    ) -> List[ClientThread]:
+    def begin_run(self) -> List[ClientThread]:
         """Attach the policy and start every client; do not drive the engine.
 
-        ``on_all_finished`` fires when the last client finishes; the default
-        stops the engine's run loop (what :meth:`run` wants).  The sharded
-        engine passes its own callback because its shard must keep serving
-        remote replica traffic after the local clients are done.
+        The last client to finish stops the engine's run loop.
         """
         self.policy.attach(self.cluster)
         if self.on_policy_attached is not None:
@@ -340,7 +318,6 @@ class WorkloadExecutor:
         self._clients = clients
         finished = [0]
         n_clients = len(clients)
-        all_finished = on_all_finished if on_all_finished is not None else engine.stop
 
         def one_finished() -> None:
             # The last client to finish stops the engine's run loop; driving
@@ -348,7 +325,7 @@ class WorkloadExecutor:
             # one-Python-iteration-per-event outer loop.
             finished[0] += 1
             if finished[0] >= n_clients:
-                all_finished()
+                engine.stop()
 
         for client in clients:
             client.start(one_finished)
@@ -388,19 +365,13 @@ class WorkloadExecutor:
         if not self._loaded:
             self.load()
         engine = self.cluster.engine
-        clients = self.begin_run()
-        start_time = self._start_time
-
-        def deadline_stop() -> None:
-            # Safety bound on the virtual run duration: stop every client
-            # (each stop fires one_finished, so the engine stops once the
-            # last in-flight completion is accounted for).
-            for client in clients:
-                client.stop()
-
+        self.begin_run()
         engine.reset_stop()
+        # Safety bound on the virtual run duration: stop every client (each
+        # stop fires its finish callback, so the engine stops once the last
+        # in-flight completion is accounted for).
         deadline_guard = engine.at(
-            start_time + self.max_virtual_time, deadline_stop, label="run.deadline"
+            self._start_time + self.max_virtual_time, self.stop_clients, label="run.deadline"
         )
         engine.run()
         engine.reset_stop()

@@ -17,6 +17,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__fi
 if REPO_ROOT not in sys.path:
     sys.path.insert(0, REPO_ROOT)
 
+import benchmarks._shared as shared  # noqa: E402
 from benchmarks._shared import (  # noqa: E402
     PlaceholderValueError,
     RepetitionMismatchError,
@@ -63,6 +64,28 @@ class TestPlaceholderGuard:
         report = {"benchmark": "demo", "value": 1.5}
         write_benchmark_json(str(path), report)
         assert json.loads(path.read_text()) == report
+
+
+class TestProvenance:
+    def test_written_file_records_machine_and_commit(self, tmp_path, monkeypatch):
+        path = tmp_path / "BENCH_ok.json"
+        write_benchmark_json(str(path), {"benchmark": "demo"})
+        stamp = json.loads(path.read_text())["provenance"]
+        assert set(stamp) == {"nproc", "platform", "python", "numpy", "git_sha", "git_dirty"}
+        assert isinstance(stamp["nproc"], int) and stamp["nproc"] >= 1
+        assert stamp["python"].count(".") == 2 and stamp["numpy"] and stamp["platform"]
+        assert stamp["git_sha"] is None or len(stamp["git_sha"]) == 40
+        assert (stamp["git_dirty"] is None) == (stamp["git_sha"] is None)
+
+        # Without git the commit fields are null, not a made-up string.
+        def no_git(*args, **kwargs):
+            raise FileNotFoundError("git")
+
+        monkeypatch.setattr(shared.subprocess, "run", no_git)
+        write_benchmark_json(str(path), {"benchmark": "demo"})
+        stamp = json.loads(path.read_text())["provenance"]
+        assert stamp["git_sha"] is None and stamp["git_dirty"] is None
+        assert stamp["nproc"] >= 1
 
 
 class TestRepetitionGuard:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
@@ -32,6 +33,46 @@ class TestClusterConfig:
         topology = uniform_topology(2)
         with pytest.raises(ValueError):
             SimulatedCluster(ClusterConfig(topology=topology, replication_factor=3))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("replication_factor", 2.5),
+            ("replication_factor", 3.0),
+            ("replication_factor", True),
+            ("n_nodes", 6.5),
+            ("n_nodes", True),
+            ("vnodes", 8.5),
+            ("vnodes", True),
+            ("racks_per_dc", 1.5),
+            ("racks_per_dc", True),
+            ("datacenters", 1.5),
+            ("datacenters", True),
+            ("spares_per_dc", 0.5),
+            ("spares_per_dc", False),
+        ],
+    )
+    def test_non_integer_shape_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ClusterConfig(**{"replication_factor": 1, field: value})
+
+    @pytest.mark.parametrize("rf", [1.5, True])
+    def test_non_integer_per_dc_factor_rejected(self, rf):
+        with pytest.raises(ValueError, match="dc2"):
+            ClusterConfig(n_nodes=6, datacenters=2, replication_factors={"dc1": 2, "dc2": rf})
+
+    def test_numpy_integers_accepted(self):
+        config = ClusterConfig(n_nodes=np.int64(6), replication_factor=np.int32(3))
+        assert SimulatedCluster(config).replication_factor == 3
+
+    def test_more_datacenters_than_nodes_rejected(self):
+        with pytest.raises(ValueError, match="datacenters"):
+            ClusterConfig(n_nodes=3, replication_factor=1, datacenters=5)
+
+    def test_explicit_topology_skips_the_datacenter_count_check(self):
+        topology = uniform_topology(4, racks_per_dc=1, datacenters=2)
+        config = ClusterConfig(n_nodes=1, replication_factor=1, datacenters=2, topology=topology)
+        assert list(SimulatedCluster(config).topology.datacenter_names) == ["dc1", "dc2"]
 
 
 class TestClusterBasics:

@@ -21,13 +21,6 @@ Two metrics are compared:
 At least one metric must be comparable, otherwise the guard fails loudly
 (a guard that silently compares nothing guards nothing).
 
-``--parallel-fresh`` adds the sharded-engine guard: the fresh smoke run
-must be deterministic across worker counts, and the recorded baseline
-section must keep its acceptance floors (workers >= 4, aggregate >= 40k
-ops per bottleneck-worker CPU second, >= 2x the workers=1 aggregate,
->= 3x single-process) -- CPU-time ratios over identical simulated
-schedules, hence machine-independent like the legacy-fabric ratio.
-
 Usage::
 
     python tools/check_perf_trend.py --fresh BENCH_fabric_fresh.json \
@@ -317,115 +310,6 @@ def compare_elasticity(
     return lines, failures
 
 
-def _parallel_section(doc: Dict[str, object]) -> Optional[Dict[str, object]]:
-    """Find the sharded-engine report in a BENCH JSON document.
-
-    ``bench_fabric.py --workers`` either writes the parallel report as the
-    whole file or merges it under a section key (``--update-section``) next
-    to the classic report; accept both shapes.
-    """
-    if doc.get("benchmark") == "bench_fabric_parallel":
-        return doc
-    for value in doc.values():
-        if isinstance(value, dict) and value.get("benchmark") == "bench_fabric_parallel":
-            return value
-    return None
-
-
-def compare_parallel(
-    fresh: Dict[str, object], baseline: Dict[str, object], max_regression: float
-) -> Tuple[List[str], List[str]]:
-    """Guard the sharded conservative-PDES engine.
-
-    Two kinds of checks, both machine-independent:
-
-    * the **fresh** (CI smoke) run must be deterministic -- ``workers=1``
-      and ``workers=N`` produced byte-identical per-shard trace hashes and
-      merged summaries through a real fork/pipe round trip;
-    * the **recorded baseline** entry must keep the acceptance floors of
-      the sharded engine: at least 4 workers, aggregate throughput of at
-      least 40,000 ops per bottleneck-worker CPU second, at least 2x the
-      ``workers=1`` aggregate and at least 3x the single-process run.  The
-      worker ratio divides two CPU-time figures for the *same* simulated
-      schedule, so it cancels machine speed the same way the legacy-fabric
-      ratio does; re-asserting the floors here stops a regressed baseline
-      from ever being committed quietly.
-
-    When fresh and baseline were measured with the same configuration the
-    aggregate itself is also compared under ``max_regression``.
-    """
-    lines: List[str] = []
-    failures: List[str] = []
-
-    fresh_section = _parallel_section(fresh)
-    if fresh_section is None:
-        failures.append("no parallel (bench_fabric_parallel) section in the fresh report")
-    else:
-        deterministic = fresh_section.get("deterministic")
-        cfg = fresh_section.get("config", {})
-        lines.append(
-            f"parallel smoke: scenario={fresh_section.get('scenario')} "
-            f"shards={cfg.get('shards')} workers={cfg.get('workers')} "
-            f"deterministic={deterministic}"
-        )
-        if deterministic is not True:
-            failures.append(
-                "parallel smoke: workers=1 and workers=N diverged (per-shard "
-                "trace hashes or merged summary differ)"
-            )
-
-    base_section = _parallel_section(baseline)
-    if base_section is None:
-        failures.append("no parallel (bench_fabric_parallel) section in the baseline report")
-        return lines, failures
-
-    base_cfg = base_section.get("config", {})
-    workers = base_cfg.get("workers", 0)
-    aggregate = float(
-        base_section.get("workers_n", {}).get("aggregate_ops_per_busy_s", 0.0)
-    )
-    ratio_w1 = float(base_section.get("speedup_aggregate_vs_workers_1", 0.0))
-    ratio_single = float(base_section.get("speedup_vs_single_process", 0.0))
-    lines.append(
-        f"parallel baseline: workers={workers} aggregate={aggregate:.0f} ops/s "
-        f"speedup_vs_workers_1={ratio_w1:.2f}x vs_single_process={ratio_single:.2f}x"
-    )
-    if base_section.get("deterministic") is not True:
-        failures.append("parallel baseline entry is not marked deterministic")
-    if not isinstance(workers, int) or workers < 4:
-        failures.append(f"parallel baseline used workers={workers!r} (floor: 4)")
-    if aggregate < 40000.0:
-        failures.append(
-            f"parallel baseline aggregate {aggregate:.0f} ops/s fell under the 40,000 floor"
-        )
-    if ratio_w1 < 2.0:
-        failures.append(
-            f"parallel speedup vs workers=1 is {ratio_w1:.2f}x (floor: 2x)"
-        )
-    if ratio_single < 3.0:
-        failures.append(
-            f"parallel speedup vs single-process is {ratio_single:.2f}x (floor: 3x)"
-        )
-
-    if fresh_section is not None and fresh_section.get("config") == base_section.get("config"):
-        fresh_aggregate = float(
-            fresh_section.get("workers_n", {}).get("aggregate_ops_per_busy_s", 0.0)
-        )
-        change = fresh_aggregate / aggregate - 1.0 if aggregate > 0 else 0.0
-        lines.append(
-            f"parallel aggregate ops/s: fresh={fresh_aggregate:.0f} "
-            f"baseline={aggregate:.0f} ({change:+.1%})"
-        )
-        if change < -max_regression:
-            failures.append(
-                f"parallel aggregate regressed {-change:.1%} "
-                f"(> {max_regression:.0%} allowed)"
-            )
-    else:
-        lines.append("parallel configs differ -- skipping the aggregate comparison")
-    return lines, failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fresh", required=True, help="freshly measured BENCH JSON")
@@ -471,18 +355,6 @@ def main(argv=None) -> int:
         default=os.path.join(REPO_ROOT, "BENCH_elasticity.json"),
         help="recorded BENCH_elasticity baseline (used with --elasticity-fresh)",
     )
-    parser.add_argument(
-        "--parallel-fresh",
-        default=None,
-        help="freshly measured parallel (bench_fabric.py --workers) JSON "
-        "(adds the sharded-engine determinism and speedup-floor guard)",
-    )
-    parser.add_argument(
-        "--parallel-baseline",
-        default=DEFAULT_BASELINE,
-        help="report holding the recorded parallel baseline section "
-        "(used with --parallel-fresh; default BENCH_fabric.json)",
-    )
     args = parser.parse_args(argv)
     if not 0 < args.max_regression < 1:
         parser.error("--max-regression must be in (0, 1)")
@@ -512,14 +384,6 @@ def main(argv=None) -> int:
         )
         lines.extend(elasticity_lines)
         failures.extend(elasticity_failures)
-    if args.parallel_fresh is not None:
-        parallel_lines, parallel_failures = compare_parallel(
-            _load(args.parallel_fresh),
-            _load(args.parallel_baseline),
-            args.max_regression,
-        )
-        lines.extend(parallel_lines)
-        failures.extend(parallel_failures)
     for line in lines:
         print(line)
     if failures:
